@@ -199,6 +199,7 @@ fn run_service() -> Result<RunReport, Box<dyn std::error::Error>> {
         // Collect everything; drain() waits for the worker to finish.
         let outcome = handle.drain()?;
         let seconds = started.elapsed().as_secs_f64();
+        let flushes = handle.metrics().flushes as usize;
         handle.close()?;
         assert_eq!(outcome.requests(), REQUESTS, "every ticket served");
         let (queue_us, execute_us) = latency_means(&outcome.results);
@@ -206,7 +207,7 @@ fn run_service() -> Result<RunReport, Box<dyn std::error::Error>> {
             label: "service".into(),
             seconds,
             requests_per_sec: REQUESTS as f64 / seconds,
-            flushes: 0, // the worker decides; waves tell the batching story
+            flushes,
             waves: outcome.waves,
             outputs: outcome
                 .results

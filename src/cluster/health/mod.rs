@@ -791,7 +791,7 @@ mod tests {
 
     #[test]
     fn adaptive_deadline_tracks_occupancy() {
-        use crate::cluster::outcome::TicketResult;
+        use crate::cluster::outcome::{AttemptLatencies, TicketResult};
         use crate::device::Axis;
         let cfg = HealthConfig {
             adaptive_deadline: true,
@@ -817,7 +817,7 @@ mod tests {
                     attempts: 1,
                     queue_latency: Duration::ZERO,
                     execute_latency: Duration::ZERO,
-                    attempt_latencies: vec![Duration::ZERO],
+                    attempt_latencies: AttemptLatencies::one(Duration::ZERO),
                 })
                 .collect();
             o

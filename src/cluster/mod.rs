@@ -125,7 +125,9 @@ pub use handle::ClusterHandle;
 pub use health::{
     default_scrub_period, scrub_period_for, HealthSnapshot, LatencyStats, ShardHealth, ShardState,
 };
-pub use outcome::{ClusterOutcome, FailedRequest, OutputSlice, ShardReport, TicketResult};
+pub use outcome::{
+    AttemptLatencies, ClusterOutcome, FailedRequest, OutputSlice, ShardReport, TicketResult,
+};
 pub use queue::{Ticket, TicketRange};
 pub use scheduler::AxisPolicy;
 

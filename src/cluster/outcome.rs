@@ -98,6 +98,52 @@ impl PartialEq<OutputSlice> for Vec<bool> {
     }
 }
 
+/// The per-attempt execute latencies of one [`TicketResult`], oldest
+/// first.
+///
+/// A request served on its first attempt — nearly every request — keeps
+/// its one sample inline, so resolving it allocates nothing; only a
+/// retried request spills its history to the heap. Derefs to
+/// `&[Duration]`, so `len()`, `iter()` and indexing read like the plain
+/// vector it replaces.
+#[derive(Debug, Clone)]
+pub struct AttemptLatencies(Samples);
+
+#[derive(Debug, Clone)]
+enum Samples {
+    One([Duration; 1]),
+    Many(Vec<Duration>),
+}
+
+impl AttemptLatencies {
+    /// The history of a request served on its first attempt.
+    pub fn one(latency: Duration) -> Self {
+        AttemptLatencies(Samples::One([latency]))
+    }
+
+    /// The samples, oldest first.
+    pub fn as_slice(&self) -> &[Duration] {
+        match &self.0 {
+            Samples::One(one) => one,
+            Samples::Many(many) => many,
+        }
+    }
+}
+
+impl std::ops::Deref for AttemptLatencies {
+    type Target = [Duration];
+
+    fn deref(&self) -> &[Duration] {
+        self.as_slice()
+    }
+}
+
+impl From<Vec<Duration>> for AttemptLatencies {
+    fn from(samples: Vec<Duration>) -> Self {
+        AttemptLatencies(Samples::Many(samples))
+    }
+}
+
 /// Result of one submitted request, delivered inside a [`ClusterOutcome`]
 /// (or, on the async service, by
 /// [`Ticket::wait`](crate::cluster::handle::Ticket::wait)).
@@ -138,9 +184,13 @@ pub struct TicketResult {
     /// sum of `attempt_latencies`) — what the caller actually waited on
     /// shards, not just the final clean batch. Excluded from equality.
     pub execute_latency: Duration,
-    /// Per-attempt execute latency, oldest first (`attempts` entries).
-    /// Excluded from equality.
-    pub attempt_latencies: Vec<Duration>,
+    /// Per-attempt execute latency, oldest first: always `attempts`
+    /// entries, summing to `execute_latency`. Inline (no heap
+    /// allocation) for a first-attempt result; see [`AttemptLatencies`].
+    /// A partitioned request reports the history of its most-retried
+    /// sub-program, the same part its `attempts` counts. Excluded from
+    /// equality.
+    pub attempt_latencies: AttemptLatencies,
 }
 
 impl PartialEq for TicketResult {
@@ -413,7 +463,7 @@ mod tests {
             attempts: 1,
             queue_latency: Duration::ZERO,
             execute_latency: Duration::ZERO,
-            attempt_latencies: vec![Duration::ZERO],
+            attempt_latencies: AttemptLatencies::one(Duration::ZERO),
         }
     }
 
@@ -423,7 +473,7 @@ mod tests {
         let mut b = result(3);
         b.queue_latency = Duration::from_millis(7);
         b.execute_latency = Duration::from_micros(11);
-        b.attempt_latencies = vec![Duration::from_micros(11)];
+        b.attempt_latencies = AttemptLatencies::one(Duration::from_micros(11));
         assert_eq!(a, b, "latencies are measurements, not identity");
         let mut c = result(3);
         c.offset = 1;

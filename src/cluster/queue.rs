@@ -111,23 +111,25 @@ impl Group {
         self.requests.len() - self.cursor
     }
 
-    /// Hands the scheduler the next `n` undispatched requests, advancing
-    /// the cursor. The cursor never revisits a request, so the inputs move
-    /// out instead of cloning.
+    /// Appends the next `n` undispatched requests to the scheduler's
+    /// (reused) ticket and input buffers, advancing the cursor. The cursor
+    /// never revisits a request, so the inputs move out instead of
+    /// cloning.
     ///
     /// # Panics
     ///
     /// Panics if `n > self.remaining()` — the scheduler sizes its chunks
     /// from `remaining`.
-    pub(crate) fn take(&mut self, n: usize) -> (Vec<(Ticket, Instant)>, Vec<Vec<bool>>) {
+    pub(crate) fn take_into(
+        &mut self,
+        n: usize,
+        tickets: &mut Vec<(Ticket, Instant)>,
+        inputs: &mut Vec<Vec<bool>>,
+    ) {
         let chunk = &mut self.requests[self.cursor..self.cursor + n];
-        let tickets = chunk.iter().map(|&(t, at, _)| (t, at)).collect();
-        let inputs = chunk
-            .iter_mut()
-            .map(|(_, _, i)| std::mem::take(i))
-            .collect();
+        tickets.extend(chunk.iter().map(|&(t, at, _)| (t, at)));
+        inputs.extend(chunk.iter_mut().map(|(_, _, i)| std::mem::take(i)));
         self.cursor += n;
-        (tickets, inputs)
     }
 }
 

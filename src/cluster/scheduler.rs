@@ -21,8 +21,9 @@
 //! 3. **Co-locate** — leftover groups of *other* fingerprints bin-pack
 //!    onto the free lines of already-claimed shards, first-fit-decreasing
 //!    by footprint (stable in submission order): each placed chunk
-//!    becomes an extra part of that shard's [`MultiProgramPlan`] wave,
-//!    sharing the wave's input-load pass and block-line ECC checks. This
+//!    becomes an extra part of that shard's multi-program wave (see
+//!    [`MultiProgramPlan`](crate::device::MultiProgramPlan)), sharing the
+//!    wave's input-load pass and block-line ECC checks. This
 //!    is what keeps long-tail traffic (twenty programs, a handful of
 //!    requests each) from paying one near-empty wave per fingerprint.
 //!
@@ -37,11 +38,10 @@
 //! submissions yield identical placements and results.
 
 use super::error::ClusterError;
-use super::outcome::{ClusterOutcome, FailedRequest, OutputSlice, TicketResult};
+use super::outcome::{AttemptLatencies, ClusterOutcome, FailedRequest, OutputSlice, TicketResult};
 use super::queue::{Group, Ticket};
 use crate::device::{
-    Axis, CompiledProgram, DeviceError, MultiBatchOutcome, MultiPartRequest, MultiProgramPlan,
-    PimDevice, PlacementPlan,
+    Axis, CompiledProgram, DeviceError, OutputArena, PimDevice, PlacementPlan, WaveTally,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -105,8 +105,8 @@ pub(crate) struct PackingKnobs {
     /// suspect outputs are still suppressed — they just fail immediately.
     pub(crate) max_retries: u32,
     /// Whether pass 3 runs: leftover groups of other fingerprints
-    /// bin-pack onto claimed shards as extra [`MultiProgramPlan`] parts.
-    /// Off = the fingerprint-per-wave baseline.
+    /// bin-pack onto claimed shards as extra parts of their waves. Off =
+    /// the fingerprint-per-wave baseline.
     pub(crate) colocate: bool,
 }
 
@@ -120,31 +120,38 @@ impl PackingKnobs {
     }
 }
 
-/// One co-located extra part of a wave job (pass 3): a chunk of a
-/// *different* group riding the same shard's wave on its own disjoint
-/// lines.
-struct ExtraPart {
-    /// Index into `groups`, for suppressed-ticket requeue.
+/// One program's chunk of a wave job: the main part (passes 1–2) or a
+/// co-located extra (pass 3). Shells are recycled through
+/// [`WaveScratch`], buffers and all.
+struct JobPart {
+    /// Index into `groups`: the part's program, the densify source and
+    /// the requeue target of suppressed tickets.
     group: usize,
-    program: CompiledProgram,
-    tickets: Vec<(Ticket, Instant)>,
-    inputs: Vec<Vec<bool>>,
-    /// The part's placement, line-disjoint from the job's main plan and
-    /// every earlier extra.
-    plan: PlacementPlan,
-}
-
-/// One shard's work for one wave: a chunk of one group under a 2D plan,
-/// plus any co-located extra parts pass 3 added.
-struct WaveJob {
-    shard: usize,
-    /// Index into `groups`, so the densify pass can pull more requests.
-    group: usize,
-    program: CompiledProgram,
     /// Each dispatched ticket with its submission instant (queue-latency
     /// accounting).
     tickets: Vec<(Ticket, Instant)>,
     inputs: Vec<Vec<bool>>,
+    /// The part's placement, line-disjoint from every other part of its
+    /// job.
+    plan: PlacementPlan,
+}
+
+impl Default for JobPart {
+    fn default() -> Self {
+        JobPart {
+            group: 0,
+            tickets: Vec::new(),
+            inputs: Vec::new(),
+            plan: PlacementPlan::empty(),
+        }
+    }
+}
+
+/// One shard's work for one wave: a chunk of one group under a 2D plan,
+/// plus any co-located extra parts pass 3 added.
+#[derive(Default)]
+struct WaveJob {
+    shard: usize,
     /// Lines the spread pass reserved (slots at the wave's fill origin).
     lines: usize,
     /// Retired physical lines of the shard on the wave's axis (ascending)
@@ -154,8 +161,57 @@ struct WaveJob {
     /// Line length (= line count) of *this job's* shard — per-job because
     /// the pool may mix geometries.
     line_len: usize,
-    /// Co-located parts of other groups (pass 3), in placement order.
-    extras: Vec<ExtraPart>,
+    /// The main part first, then the co-located parts of other groups
+    /// (pass 3) in placement order.
+    parts: Vec<JobPart>,
+    /// Per-part readback, parallel to `parts` (reused across waves).
+    arenas: Vec<OutputArena>,
+    /// Host execute time and the device's verdict, once dispatched.
+    ran: Option<(Duration, Result<WaveTally, DeviceError>)>,
+}
+
+/// Planning and dispatch buffers owned by the cluster core, so a warm
+/// flush plans and runs its waves without touching the heap: every
+/// vector here keeps its capacity from one wave (and flush) to the next.
+#[derive(Default)]
+pub(crate) struct WaveScratch {
+    /// The active shards, rotated left by the retry spin.
+    rotated: Vec<usize>,
+    /// Retired lines per rotated slot on the wave's axis.
+    avoids: Vec<Vec<usize>>,
+    /// Line length per rotated slot.
+    caps: Vec<usize>,
+    /// Rotated slots already claimed this wave.
+    used: Vec<bool>,
+    /// Undrained groups awaiting pass 3.
+    leftover: Vec<usize>,
+    /// Pass 3's lines-to-avoid for the part being placed.
+    avoid: Vec<usize>,
+    /// This wave's jobs, ascending by shard once planned.
+    jobs: Vec<WaveJob>,
+    /// Emptied shells awaiting reuse.
+    spare_jobs: Vec<WaveJob>,
+    spare_parts: Vec<JobPart>,
+    /// Input buffers of dispatched requests, handed back for reuse (the
+    /// partitioned path gathers sub-request inputs into them).
+    pub(crate) spent: Vec<Vec<bool>>,
+}
+
+impl WaveScratch {
+    /// Returns the wave's job and part shells to the spare pools and
+    /// every request's input buffer to `spent`.
+    fn recycle_jobs(&mut self) {
+        for mut job in self.jobs.drain(..) {
+            for mut part in job.parts.drain(..) {
+                part.tickets.clear();
+                // Suppressed tickets took their inputs back to the queue.
+                self.spent
+                    .extend(part.inputs.drain(..).filter(|v| v.capacity() > 0));
+                self.spare_parts.push(part);
+            }
+            self.spare_jobs.push(job);
+        }
+    }
 }
 
 /// Per-ticket retry bookkeeping, local to one `run_waves` call: a ticket
@@ -170,8 +226,9 @@ struct RetryState {
 }
 
 /// Executes `groups` to completion over the `active` subset of `shards`
-/// under `knobs`, folding everything into `outcome`; on success the
-/// results end up sorted by ticket.
+/// under `knobs`, folding everything into `outcome` (results and
+/// dead-letters are appended unsorted; wave indices count from this
+/// call's first wave).
 ///
 /// `active` is the strictly ascending list of shard indices the plan may
 /// use — the health loop's quarantine reroutes traffic by shrinking it.
@@ -191,11 +248,13 @@ pub(crate) fn run_waves(
     knobs: PackingKnobs,
     outcome: &mut ClusterOutcome,
     active: &[usize],
+    scratch: &mut WaveScratch,
 ) -> Result<(), ClusterError> {
     debug_assert!(
         active.windows(2).all(|w| w[0] < w[1]) && active.iter().all(|&s| s < shards.len()),
         "active shard list must be strictly ascending and in range"
     );
+    let first_wave = outcome.waves;
     // Tickets with suppressed attempts behind them, keyed by ticket id.
     // The table lives for one flush only: a requeued ticket is always
     // re-dispatched (or dead-lettered) before `run_waves` returns.
@@ -214,9 +273,9 @@ pub(crate) fn run_waves(
     // than looped on forever.
     let mut skipped = 0usize;
     loop {
-        let wave = outcome.waves + skipped;
-        let jobs = plan_wave(shards, groups, active, knobs, wave, spin);
-        if jobs.is_empty() {
+        let wave = outcome.waves - first_wave + skipped;
+        plan_wave(shards, groups, active, knobs, wave, spin, scratch);
+        if scratch.jobs.is_empty() {
             if groups.iter().map(Group::remaining).sum::<usize>() == 0 {
                 break;
             }
@@ -225,12 +284,11 @@ pub(crate) fn run_waves(
                 // No line anywhere can hold a request: fail the
                 // remainder explicitly instead of spinning.
                 for g in groups.iter_mut() {
-                    let n = g.remaining();
-                    let (tickets, _inputs) = g.take(n);
-                    for (ticket, _submitted_at) in tickets {
+                    for &(ticket, _, _) in &g.requests[g.cursor..] {
                         let attempts = retry.remove(&ticket.id()).map_or(0, |s| s.attempts);
                         outcome.failed.push(FailedRequest { ticket, attempts });
                     }
+                    g.cursor = g.requests.len();
                 }
                 break;
             }
@@ -238,20 +296,20 @@ pub(crate) fn run_waves(
         }
         skipped = 0;
         let retries_before = outcome.retries;
-        dispatch_wave(shards, groups, jobs, knobs, outcome, &mut retry, wave)?;
+        let dispatched = dispatch_wave(shards, groups, knobs, outcome, &mut retry, wave, scratch);
+        scratch.recycle_jobs();
+        dispatched?;
         if outcome.retries > retries_before {
             spin += 1;
         }
     }
-    outcome.results.sort_by_key(|r| r.ticket);
-    outcome.failed.sort_by_key(|f| f.ticket);
     Ok(())
 }
 
-/// Plans one wave (see the [module docs](self) for the three passes) over
-/// the `active` shard indices, rotated left by `spin` so retried tickets
-/// prefer a different shard, and routing around each shard's retired
-/// lines on the wave's axis.
+/// Plans one wave into `scratch.jobs` (see the [module docs](self) for
+/// the three passes) over the `active` shard indices, rotated left by
+/// `spin` so retried tickets prefer a different shard, and routing around
+/// each shard's retired lines on the wave's axis.
 fn plan_wave(
     shards: &[PimDevice],
     groups: &mut [Group],
@@ -259,25 +317,43 @@ fn plan_wave(
     knobs: PackingKnobs,
     wave: usize,
     spin: usize,
-) -> Vec<(WaveJob, PlacementPlan)> {
+    scratch: &mut WaveScratch,
+) {
     let axis = knobs.axis_policy.axis_for(wave);
-    let mut rotated: Vec<usize> = Vec::with_capacity(active.len());
+    let origin = knobs.origin_base + wave;
+    let WaveScratch {
+        rotated,
+        avoids,
+        caps,
+        used,
+        leftover,
+        avoid,
+        jobs,
+        spare_jobs,
+        spare_parts,
+        ..
+    } = scratch;
+    debug_assert!(jobs.is_empty(), "the previous wave's jobs were recycled");
+    rotated.clear();
     if !active.is_empty() {
         let cut = spin % active.len();
         rotated.extend_from_slice(&active[cut..]);
         rotated.extend_from_slice(&active[..cut]);
     }
     // Retired physical lines per rotated slot on this wave's axis. Each
-    // slot is planned at most once per wave, so the list is moved into
-    // its job (the empty Vec left behind is never read again).
-    let mut avoids: Vec<Vec<usize>> = rotated
-        .iter()
-        .map(|&s| shards[s].retired().avoid_lines(axis))
-        .collect();
+    // slot is planned at most once per wave, so its list is swapped into
+    // its job (the job's stale list left behind is never read again).
+    if avoids.len() < rotated.len() {
+        avoids.resize_with(rotated.len(), Vec::new);
+    }
+    for (slot, &s) in avoids.iter_mut().zip(rotated.iter()) {
+        shards[s].retired().avoid_lines_into(axis, slot);
+    }
     // Per-slot line length — the pool may mix geometries.
-    let caps: Vec<usize> = rotated.iter().map(|&s| shards[s].capacity()).collect();
-    let mut used = vec![false; rotated.len()];
-    let mut jobs: Vec<WaveJob> = Vec::new();
+    caps.clear();
+    caps.extend(rotated.iter().map(|&s| shards[s].capacity()));
+    used.clear();
+    used.resize(rotated.len(), false);
     // Pass 1 — spread: one-request-per-line chunks, breadth-first over the
     // active shards. A large group spreads over *several* shards within
     // one wave; that is the sharding win for single-program traffic. Each
@@ -309,80 +385,65 @@ fn plan_wave(
                 continue 'groups;
             };
             used[si] = true;
-            let avoid = std::mem::take(&mut avoids[si]);
-            let line_len = caps[si];
-            let avail = line_len - avoid.len();
-            let take = g.remaining().min(knobs.batch_limit).min(avail);
-            let (tickets, inputs) = g.take(take);
-            jobs.push(WaveJob {
-                shard: rotated[si],
-                group: gi,
-                program: g.program.clone(),
-                tickets,
-                inputs,
-                lines: take,
-                avoid,
-                line_len,
-                extras: Vec::new(),
-            });
+            let mut job = spare_jobs.pop().unwrap_or_default();
+            std::mem::swap(&mut job.avoid, &mut avoids[si]);
+            job.shard = rotated[si];
+            job.line_len = caps[si];
+            let avail = job.line_len - job.avoid.len();
+            job.lines = g.remaining().min(knobs.batch_limit).min(avail);
+            let mut part = spare_parts.pop().unwrap_or_default();
+            part.group = gi;
+            g.take_into(job.lines, &mut part.tickets, &mut part.inputs);
+            job.parts.push(part);
+            jobs.push(job);
         }
     }
     // Pass 2 — densify: with every shard busy (or every group drained),
     // absorb leftover traffic into extra offsets of the planned batches
-    // instead of extra waves.
-    for job in &mut jobs {
-        let g = &mut groups[job.group];
-        if g.remaining() == 0 {
-            continue;
-        }
-        let depth = knobs.per_line(job.line_len, &job.program) - 1;
+    // instead of extra waves. Then pack each main part.
+    for job in jobs.iter_mut() {
+        let main = &mut job.parts[0];
+        let g = &mut groups[main.group];
+        let depth = knobs.per_line(job.line_len, &g.program) - 1;
         let extra = g.remaining().min(job.lines * depth);
-        if extra == 0 {
-            continue;
+        if extra > 0 {
+            g.take_into(extra, &mut main.tickets, &mut main.inputs);
         }
-        let (tickets, inputs) = g.take(extra);
-        job.tickets.extend(tickets);
-        job.inputs.extend(inputs);
-    }
-    let mut planned: Vec<(WaveJob, PlacementPlan)> = jobs
-        .into_iter()
-        .map(|job| {
-            // The slot-offset fill origin rotates with the pool-lifetime
-            // wave index (origin_base counts earlier flushes): successive
-            // waves start their offset-major fill one slot column further
-            // along the line, leveling memristor wear across cells
-            // instead of always writing from cell 0. The origin is a pure
-            // function of the wave's position in the submission history,
-            // so the plan — and the determinism guarantee — is unchanged
-            // in kind.
-            let plan = PlacementPlan::pack_avoiding(
+        // The slot-offset fill origin rotates with the pool-lifetime
+        // wave index (origin_base counts earlier flushes): successive
+        // waves start their offset-major fill one slot column further
+        // along the line, leveling memristor wear across cells instead
+        // of always writing from cell 0. The origin is a pure function of
+        // the wave's position in the submission history, so the plan —
+        // and the determinism guarantee — is unchanged in kind.
+        main.plan
+            .repack(
                 axis,
                 job.line_len,
-                job.program.footprint().max(1),
+                g.program.footprint().max(1),
                 job.lines,
                 knobs.pack_limit,
-                job.tickets.len(),
-                knobs.origin_base + wave,
+                main.tickets.len(),
+                origin,
                 &job.avoid,
             )
             .expect("planned chunks fit their packed capacity by construction");
-            (job, plan)
-        })
-        .collect();
+    }
     // Pass 3 — co-locate: groups still undrained after spread + densify
     // belong to fingerprints that found no idle shard. Instead of
     // queueing them a near-empty wave each, bin-pack them onto the free
     // lines of the claimed shards, first-fit-decreasing by footprint
-    // (stable sort, so equal footprints keep submission order): each
-    // placed chunk becomes an extra part of the shard's multi-program
-    // wave, line-disjoint from the main plan and every earlier extra.
+    // (ties keep submission order): each placed chunk becomes an extra
+    // part of the shard's multi-program wave, line-disjoint from the main
+    // plan and every earlier extra.
     if knobs.colocate {
-        let mut leftover: Vec<usize> = (0..groups.len())
-            .filter(|&gi| groups[gi].remaining() > 0)
-            .collect();
-        leftover.sort_by_key(|&gi| std::cmp::Reverse(groups[gi].program.footprint().max(1)));
-        for gi in leftover {
-            for (job, plan) in planned.iter_mut() {
+        leftover.clear();
+        leftover.extend((0..groups.len()).filter(|&gi| groups[gi].remaining() > 0));
+        leftover.sort_unstable_by_key(|&gi| {
+            (std::cmp::Reverse(groups[gi].program.footprint().max(1)), gi)
+        });
+        for &gi in leftover.iter() {
+            for job in jobs.iter_mut() {
                 let g = &mut groups[gi];
                 if g.remaining() == 0 {
                     break;
@@ -392,12 +453,7 @@ fn plan_wave(
                 }
                 // Free lines: in-service minus what the main part and
                 // earlier extras hold, capped by the batch-line budget.
-                let committed = plan.lines_occupied()
-                    + job
-                        .extras
-                        .iter()
-                        .map(|e| e.plan.lines_occupied())
-                        .sum::<usize>();
+                let committed: usize = job.parts.iter().map(|p| p.plan.lines_occupied()).sum();
                 let in_service = job.line_len - job.avoid.len();
                 let free = in_service
                     .saturating_sub(committed)
@@ -407,82 +463,60 @@ fn plan_wave(
                 }
                 let per_line = knobs.per_line(job.line_len, &g.program);
                 let take = g.remaining().min(free * per_line);
-                let mut avoid = job.avoid.clone();
-                avoid.extend(plan.lines());
-                for e in &job.extras {
-                    avoid.extend(e.plan.lines());
+                avoid.clear();
+                avoid.extend_from_slice(&job.avoid);
+                for p in &job.parts {
+                    avoid.extend(p.plan.slots().iter().map(|s| s.line));
                 }
                 avoid.sort_unstable();
                 avoid.dedup();
-                let extra_plan = PlacementPlan::pack_avoiding(
-                    axis,
-                    job.line_len,
-                    g.program.footprint().max(1),
-                    free,
-                    knobs.pack_limit,
-                    take,
-                    knobs.origin_base + wave,
-                    &avoid,
-                )
-                .expect("co-located chunks fit the free lines by construction");
-                let (tickets, inputs) = g.take(take);
-                job.extras.push(ExtraPart {
-                    group: gi,
-                    program: g.program.clone(),
-                    tickets,
-                    inputs,
-                    plan: extra_plan,
-                });
+                let mut part = spare_parts.pop().unwrap_or_default();
+                part.plan
+                    .repack(
+                        axis,
+                        job.line_len,
+                        g.program.footprint().max(1),
+                        free,
+                        knobs.pack_limit,
+                        take,
+                        origin,
+                        avoid,
+                    )
+                    .expect("co-located chunks fit the free lines by construction");
+                part.group = gi;
+                g.take_into(take, &mut part.tickets, &mut part.inputs);
+                job.parts.push(part);
             }
         }
     }
     // `dispatch_wave` pairs jobs with disjoint `&mut` shards in one
     // ascending scan; the retry rotation can hand out shards in rotated
-    // order, so restore ascending order here.
-    planned.sort_by_key(|(job, _)| job.shard);
-    planned
+    // order, so restore ascending order here (shards are distinct, so an
+    // unstable sort is exact).
+    jobs.sort_unstable_by_key(|job| job.shard);
 }
 
-/// Runs one wave job on its shard: the plain single-program plan when the
-/// job has no extras (every pre-PR-10 flush), the multi-program wave when
-/// pass 3 co-located other groups onto the shard. Both shapes return the
-/// per-part [`MultiBatchOutcome`] so the fold below has one code path.
-fn run_job(
-    device: &mut PimDevice,
-    job: &WaveJob,
-    plan: &PlacementPlan,
-) -> Result<MultiBatchOutcome, DeviceError> {
-    if job.extras.is_empty() {
-        let batch = device.run_plan(&job.program, plan, &job.inputs)?;
-        return Ok(MultiBatchOutcome {
-            parts: vec![batch.outputs],
-            input_check: batch.input_check,
-            stats: batch.stats,
-            gate_evals: batch.gate_evals,
-            uncorrectable_input: batch.uncorrectable_input,
-        });
-    }
-    let parts: Vec<PlacementPlan> = std::iter::once(plan.clone())
-        .chain(job.extras.iter().map(|e| e.plan.clone()))
-        .collect();
-    let multi = MultiProgramPlan::new(parts)?;
-    let requests: Vec<MultiPartRequest<'_>> = std::iter::once(MultiPartRequest {
-        program: &job.program,
-        requests: &job.inputs,
-    })
-    .chain(job.extras.iter().map(|e| MultiPartRequest {
-        program: &e.program,
-        requests: &e.inputs,
-    }))
-    .collect();
-    device.run_multi(&multi, &requests)
+/// Runs one wave job on its shard — every part, main and co-located, in
+/// one device wave — and records the execute time and verdict on the job.
+fn run_job(device: &mut PimDevice, job: &mut WaveJob, groups: &[Group]) {
+    let started = Instant::now();
+    let WaveJob { parts, arenas, .. } = job;
+    let result = device.run_wave(
+        parts.len(),
+        |i| {
+            let part = &parts[i];
+            (&groups[part.group].program, &part.plan, &part.inputs[..])
+        },
+        arenas,
+    );
+    job.ran = Some((started.elapsed(), result));
 }
 
-/// Runs one planned wave, each busy shard on its own scoped thread, and
-/// folds the batch outcomes into `outcome`. The wave's wall-clock
-/// contribution is the *maximum* busy time over its shards — they tick in
-/// parallel. Successful batches are folded in even when a sibling shard
-/// fails; only the first error is reported.
+/// Runs the planned wave in `scratch.jobs`, each busy shard on its own
+/// scoped thread, and folds the batch outcomes into `outcome`. The wave's
+/// wall-clock contribution is the *maximum* busy time over its shards —
+/// they tick in parallel. Successful batches are folded in even when a
+/// sibling shard fails; only the first error is reported.
 ///
 /// Tickets whose lines drew an uncorrectable ECC verdict never yield a
 /// [`TicketResult`] here: their outputs are suppressed and they re-enter
@@ -491,74 +525,50 @@ fn run_job(
 /// Co-located parts share their wave's verdict — a suspect block-line
 /// suppresses whichever parts' slots sit on it, each requeueing into its
 /// *own* group.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_wave(
     shards: &mut [PimDevice],
     groups: &mut [Group],
-    jobs: Vec<(WaveJob, PlacementPlan)>,
     knobs: PackingKnobs,
     outcome: &mut ClusterOutcome,
     retry: &mut HashMap<u64, RetryState>,
     wave: usize,
+    scratch: &mut WaveScratch,
 ) -> Result<(), ClusterError> {
     let dispatched_at = Instant::now();
-    type Ran = (
-        WaveJob,
-        PlacementPlan,
-        Duration,
-        Result<MultiBatchOutcome, DeviceError>,
-    );
+    let jobs = &mut scratch.jobs;
     // A wave with a single busy shard runs inline: spawning (and joining)
     // a scoped thread for one job costs more than the job's glue on small
     // flushes, and the simulated wall-clock accounting below is identical
     // either way.
-    let ran: Vec<Ran> = if jobs.len() == 1 {
-        let (job, plan) = jobs.into_iter().next().expect("one job");
-        let device = &mut shards[job.shard];
-        let started = Instant::now();
-        let result = run_job(device, &job, &plan);
-        vec![(job, plan, started.elapsed(), result)]
+    if let [job] = jobs.as_mut_slice() {
+        run_job(&mut shards[job.shard], job, groups);
     } else {
         // `plan_wave` assigns strictly increasing shard indices, so one
         // pass over the shards pairs each job with a disjoint
         // `&mut PimDevice`.
-        let mut jobs = jobs.into_iter().peekable();
+        let groups: &[Group] = groups;
+        let mut pending = jobs.iter_mut().peekable();
         std::thread::scope(|s| {
-            let mut handles = Vec::new();
             for (i, device) in shards.iter_mut().enumerate() {
-                if jobs.peek().map(|(j, _)| j.shard) == Some(i) {
-                    let (job, plan) = jobs.next().expect("peeked");
-                    handles.push(s.spawn(move || {
-                        let started = Instant::now();
-                        let result = run_job(device, &job, &plan);
-                        (job, plan, started.elapsed(), result)
-                    }));
+                if pending.peek().map(|j| j.shard) == Some(i) {
+                    let job = pending.next().expect("peeked");
+                    s.spawn(move || run_job(device, job, groups));
                 }
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        })
-    };
+        });
+    }
 
     let mut wave_wall = 0;
     let mut first_error = None;
-    for (job, plan, execute_latency, result) in ran {
-        let WaveJob {
-            shard,
-            group,
-            tickets,
-            inputs,
-            avoid,
-            line_len,
-            extras,
-            ..
-        } = job;
+    for job in jobs.iter_mut() {
+        let (execute_latency, result) = job.ran.take().expect("every planned job ran");
         let batch = match result {
             Ok(batch) => batch,
             Err(source) => {
-                first_error.get_or_insert(ClusterError::Shard { shard, source });
+                first_error.get_or_insert(ClusterError::Shard {
+                    shard: job.shard,
+                    source,
+                });
                 continue;
             }
         };
@@ -566,7 +576,7 @@ fn dispatch_wave(
         outcome.stats += batch.stats;
         outcome.input_check += batch.input_check;
         outcome.gate_evals += batch.gate_evals;
-        let report = &mut outcome.shard_reports[shard];
+        let report = &mut outcome.shard_reports[job.shard];
         report.input_check += batch.input_check;
         report.batches += 1;
         report.busy_mem_cycles += batch.stats.mem_cycles;
@@ -576,34 +586,20 @@ fn dispatch_wave(
         // hold rather than what it shipped with. One wave dispatches the
         // shard once no matter how many parts ride it — co-location
         // *raises* utilization against the same denominator.
-        let in_service = line_len - avoid.len();
+        let in_service = job.line_len - job.avoid.len();
         report.line_capacity += in_service as u64;
-        report.cell_capacity += (in_service * line_len) as u64;
+        report.cell_capacity += (in_service * job.line_len) as u64;
         let unc = batch.uncorrectable_input;
-        // The main part first, then the extras, in the same order their
-        // plans were assembled — parallel to `batch.parts`.
-        type WavePart = (usize, Vec<(Ticket, Instant)>, Vec<Vec<bool>>, PlacementPlan);
-        let parts: Vec<WavePart> = std::iter::once((group, tickets, inputs, plan))
-            .chain(
-                extras
-                    .into_iter()
-                    .map(|e| (e.group, e.tickets, e.inputs, e.plan)),
-            )
-            .collect();
-        for ((part_group, tickets, mut inputs, part_plan), arena) in
-            parts.into_iter().zip(batch.parts)
-        {
-            report.requests += tickets.len() as u64;
-            report.lines_occupied += part_plan.lines_occupied() as u64;
-            report.cells_occupied += part_plan.cells_occupied() as u64;
+        for (part, arena) in job.parts.iter_mut().zip(&job.arenas) {
+            report.requests += part.tickets.len() as u64;
+            report.lines_occupied += part.plan.lines_occupied() as u64;
+            report.cells_occupied += part.plan.cells_occupied() as u64;
             let width = arena.width();
             // One `Arc` per part per batch: every ticket's result slices
             // into it instead of owning a fresh Vec.
-            let bits: Arc<[bool]> = arena.into_bits().into();
-            for (i, ((ticket, submitted_at), slot)) in tickets
-                .into_iter()
-                .zip(part_plan.slots().iter().copied())
-                .enumerate()
+            let bits: Arc<[bool]> = Arc::from(arena.as_bits());
+            for (i, (&(ticket, submitted_at), slot)) in
+                part.tickets.iter().zip(part.plan.slots()).enumerate()
             {
                 if unc.as_ref().is_some_and(|u| u.covers_line(slot.line)) {
                     // An uncorrectable verdict covers this ticket's lines:
@@ -622,31 +618,34 @@ fn dispatch_wave(
                         });
                     } else {
                         outcome.retries += 1;
-                        groups[part_group].requests.push((
+                        groups[part.group].requests.push((
                             ticket,
                             submitted_at,
-                            std::mem::take(&mut inputs[i]),
+                            std::mem::take(&mut part.inputs[i]),
                         ));
                     }
                     continue;
                 }
-                let (attempts, mut attempt_latencies) = match retry.remove(&ticket.id()) {
-                    Some(state) => (state.attempts + 1, state.latencies),
-                    None => (1, Vec::new()),
+                // A first-attempt result keeps its one latency sample
+                // inline; only a retried ticket's history lives on the heap.
+                let (attempts, attempt_latencies) = match retry.remove(&ticket.id()) {
+                    Some(mut state) => {
+                        state.latencies.push(execute_latency);
+                        (state.attempts + 1, AttemptLatencies::from(state.latencies))
+                    }
+                    None => (1, AttemptLatencies::one(execute_latency)),
                 };
-                attempt_latencies.push(execute_latency);
-                let execute_total = attempt_latencies.iter().sum();
                 outcome.results.push(TicketResult {
                     ticket,
-                    shard,
+                    shard: job.shard,
                     wave,
-                    axis: part_plan.axis(),
+                    axis: part.plan.axis(),
                     line: slot.line,
                     offset: slot.offset,
                     outputs: OutputSlice::new(Arc::clone(&bits), i * width, width),
                     attempts,
                     queue_latency: dispatched_at.saturating_duration_since(submitted_at),
-                    execute_latency: execute_total,
+                    execute_latency: attempt_latencies.iter().sum(),
                     attempt_latencies,
                 });
             }

@@ -8,11 +8,11 @@
 
 use super::error::ClusterError;
 use super::health::HealthMonitor;
-use super::outcome::{ClusterOutcome, FailedRequest, TicketResult};
+use super::outcome::{AttemptLatencies, ClusterOutcome, FailedRequest, OutputSlice, TicketResult};
 use super::queue::{group_into, group_partitioned, Group, Pending, PendingPartitioned, Ticket};
-use super::scheduler::{self, AxisPolicy, PackingKnobs};
-use crate::compiler::{PartitionedProgram, RouteSource};
-use crate::device::{Axis, CompiledProgram, PimDevice, ProgramCache};
+use super::scheduler::{self, AxisPolicy, PackingKnobs, WaveScratch};
+use crate::compiler::PartitionedProgram;
+use crate::device::{CompiledProgram, PimDevice, ProgramCache};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -87,11 +87,12 @@ pub(crate) fn validate_partitioned(
 
 /// Reusable flush-path buffers: after the first flush warms them up, a
 /// steady-state flush allocates nothing of its own — the pending queue,
-/// the fingerprint groups (with their request buffers), the ticket list
-/// and the grouping index all recycle last flush's capacity. (The
-/// returned [`ClusterOutcome`] still allocates: it escapes to the
+/// the fingerprint groups (with their request buffers), the ticket list,
+/// the grouping index, the scheduler's planning and dispatch buffers and
+/// the partitioned path's signal rows all recycle last flush's capacity.
+/// (The returned [`ClusterOutcome`] still allocates: it escapes to the
 /// caller.)
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct FlushArena {
     /// Every ticket of the flush in submission order — consulted only on
     /// the error path to list the dropped ones.
@@ -103,6 +104,13 @@ pub(crate) struct FlushArena {
     fp_index: HashMap<u64, usize>,
     /// Emptied per-group request buffers awaiting reuse.
     request_bufs: Vec<Vec<(Ticket, Instant, Vec<bool>)>>,
+    /// The wave scheduler's buffers.
+    waves: WaveScratch,
+    /// Partitioned path: one signal row per request of the group in
+    /// flight (`nreq × signal_width` bits).
+    signals: Vec<bool>,
+    /// Partitioned path: per-request progress of the group in flight.
+    tracks: Vec<Track>,
 }
 
 /// The shard pool behind every cluster front-end: devices, packing knobs,
@@ -201,6 +209,9 @@ impl ClusterCore {
                 error: None,
             };
         }
+        outcome
+            .results
+            .reserve(self.pending.len() + partitioned.len());
         self.arena.submitted.clear();
         self.arena.submitted.extend(
             self.pending
@@ -214,24 +225,22 @@ impl ClusterCore {
             &mut self.arena.fp_index,
             &mut self.arena.request_bufs,
         );
-        let knobs = PackingKnobs {
-            batch_limit: self.batch_limit,
-            pack_limit: self.pack_limit,
-            axis_policy: self.axis_policy,
-            origin_base: self.waves_dispatched,
-            max_retries: self.max_retries,
-            colocate: self.colocate,
-        };
+        let knobs = self.knobs(self.waves_dispatched);
         let active = self.health.active_shards();
+        let spent = self.arena.waves.spent.len();
         let mut ran = scheduler::run_waves(
             &mut self.shards,
             &mut self.arena.groups,
             knobs,
             &mut outcome,
             &active,
+            &mut self.arena.waves,
         );
+        // Ordinary inputs are the submitters' buffers: release them rather
+        // than grow the pool the partitioned path gathers into.
+        self.arena.waves.spent.truncate(spent);
         // Recycle the drained group shells: the inputs moved out through
-        // `Group::take`, so only the (cleared) buffer capacity survives.
+        // `Group::take_into`, so only the (cleared) buffer capacity survives.
         for g in self.arena.groups.drain(..) {
             let mut requests = g.requests;
             requests.clear();
@@ -293,16 +302,17 @@ impl ClusterCore {
     /// Serves one partitioned group: every request of one
     /// [`PartitionedProgram`], executed as one wave chain.
     ///
-    /// Level by level, each sub-program becomes an ordinary scheduler
-    /// group whose per-request inputs are assembled host-side from the
-    /// original submission (primary inputs) and the exported outputs of
-    /// already-executed parts (cut signals). Within a level the parts are
-    /// independent, so their groups share one `run_waves` call and pack
-    /// together exactly like unrelated ordinary traffic. Sub-requests ride
-    /// on synthetic tickets (`part_index * n_requests + request_index`)
-    /// that never leave this function; the caller-visible outcome gets one
-    /// merged [`TicketResult`] per original request, anchored at the
-    /// placement of its last sub-program.
+    /// Each request owns one signal row (`[host inputs | part 0 exports |
+    /// part 1 exports | …]`, as compiled). Level by level, each part
+    /// becomes an ordinary scheduler group whose inputs are gathered from
+    /// the rows by the part's compiled indices; its served outputs are
+    /// scattered back into its export range. A level's parts share one
+    /// `run_waves` call and pack like unrelated ordinary traffic.
+    /// Sub-requests ride on synthetic tickets (`part * n_requests +
+    /// request`), harvested off the tail of `outcome` before anything else
+    /// sees them; the caller gets one merged [`TicketResult`] per request,
+    /// anchored at its last part and carrying the retry history of its
+    /// most-retried part.
     fn run_partitioned_group(
         &mut self,
         program: Arc<PartitionedProgram>,
@@ -310,154 +320,148 @@ impl ClusterCore {
         outcome: &mut ClusterOutcome,
         active: &[usize],
     ) -> Result<(), ClusterError> {
-        struct Anchor {
-            part: usize,
-            shard: usize,
-            wave: usize,
-            axis: Axis,
-            line: usize,
-            offset: usize,
-            queue_latency: Duration,
-            execute_latency: Duration,
-            attempt_latencies: Vec<Duration>,
+        let knobs = self.knobs(self.waves_dispatched);
+        let ClusterCore { shards, arena, .. } = self;
+        let (nreq, width) = (requests.len(), program.signal_width());
+        arena.signals.clear();
+        arena.signals.resize(nreq * width, false);
+        arena.tracks.clear();
+        arena.tracks.resize_with(nreq, Track::default);
+        for (ri, (_, _, inputs)) in requests.iter().enumerate() {
+            arena.signals[ri * width..][..inputs.len()].copy_from_slice(inputs);
         }
 
-        let nreq = requests.len();
-        // Exported outputs of every executed part, per request.
-        let mut part_outputs: Vec<Vec<Vec<bool>>> =
-            vec![vec![Vec::new(); nreq]; program.num_parts()];
-        let mut anchors: Vec<Option<Anchor>> = (0..nreq).map(|_| None).collect();
-        // Requests with a dead-lettered sub-program: the whole request
-        // fails (a partial circuit has no meaning), later levels skip it,
-        // and the caller sees one [`FailedRequest`] on the original
-        // ticket. Holds the exhausted sub-request's attempt count.
-        let mut failed_req: Vec<Option<u32>> = vec![None; nreq];
-        // Worst retry chain over a request's sub-programs — the merged
-        // result's attempt count.
-        let mut attempts_max: Vec<u32> = vec![1; nreq];
-
-        for level in 0..program.num_levels() {
+        for level in program.levels() {
             let wave_base = outcome.waves;
-            let mut groups: Vec<Group> = program.levels()[level]
-                .clone()
-                .map(|pi| {
-                    let part = &program.parts()[pi];
-                    let requests = requests
-                        .iter()
-                        .enumerate()
-                        .filter(|(ri, _)| failed_req[*ri].is_none())
-                        .map(|(ri, (_, submitted_at, inputs))| {
-                            let local: Vec<bool> = part
-                                .inputs()
-                                .iter()
-                                .map(|&route| match route {
-                                    RouteSource::Host(i) => inputs[i],
-                                    RouteSource::Part { part, output } => {
-                                        part_outputs[part][ri][output]
-                                    }
-                                })
-                                .collect();
-                            let synthetic = Ticket((pi * nreq + ri) as u64);
-                            (synthetic, *submitted_at, local)
-                        })
-                        .collect();
-                    Group {
-                        program: part.program().clone(),
-                        requests,
-                        cursor: 0,
+            for pi in level.clone() {
+                let part = &program.parts()[pi];
+                let mut sub = arena.request_bufs.pop().unwrap_or_default();
+                for (ri, &(_, submitted_at, _)) in requests.iter().enumerate() {
+                    // A request with a dead-lettered part is already lost.
+                    if arena.tracks[ri].failed.is_none() {
+                        let row = &arena.signals[ri * width..];
+                        let mut local = arena.waves.spent.pop().unwrap_or_default();
+                        local.clear();
+                        local.extend(part.inputs().iter().map(|&s| row[s]));
+                        sub.push((Ticket((pi * nreq + ri) as u64), submitted_at, local));
                     }
-                })
-                .collect();
-            let knobs = PackingKnobs {
-                batch_limit: self.batch_limit,
-                pack_limit: self.pack_limit,
-                axis_policy: self.axis_policy,
-                origin_base: self.waves_dispatched + wave_base,
-                max_retries: self.max_retries,
-                colocate: self.colocate,
-            };
-            let mut scratch = ClusterOutcome::empty(self.shards.len());
-            let ran =
-                scheduler::run_waves(&mut self.shards, &mut groups, knobs, &mut scratch, active);
-            // Harvest the cut signals (and anchor metadata) before folding
-            // the scratch stats in — the synthetic tickets must never
-            // reach the caller-visible result list.
-            for r in std::mem::take(&mut scratch.results) {
-                let pi = (r.ticket.id() as usize) / nreq;
-                let ri = (r.ticket.id() as usize) % nreq;
-                attempts_max[ri] = attempts_max[ri].max(r.attempts);
-                if anchors[ri].as_ref().is_none_or(|a| pi >= a.part) {
-                    anchors[ri] = Some(Anchor {
-                        part: pi,
-                        shard: r.shard,
-                        wave: wave_base + r.wave,
-                        axis: r.axis,
-                        line: r.line,
-                        offset: r.offset,
-                        queue_latency: r.queue_latency,
-                        execute_latency: r.execute_latency,
-                        attempt_latencies: r.attempt_latencies,
-                    });
                 }
-                part_outputs[pi][ri] = r.outputs.to_vec();
+                arena.groups.push(Group {
+                    program: part.program().clone(),
+                    requests: sub,
+                    cursor: 0,
+                });
             }
-            // A dead-lettered sub-request fails its whole request — the
-            // synthetic failure is translated to the original ticket (and
-            // must never leak into the caller-visible failed list).
-            for f in std::mem::take(&mut scratch.failed) {
-                let ri = (f.ticket.id() as usize) % nreq;
-                let failed = failed_req[ri].get_or_insert(0);
+            let knobs = PackingKnobs {
+                origin_base: knobs.origin_base + wave_base,
+                ..knobs
+            };
+            let (results_from, failed_from) = (outcome.results.len(), outcome.failed.len());
+            let ran = scheduler::run_waves(
+                shards,
+                &mut arena.groups,
+                knobs,
+                outcome,
+                active,
+                &mut arena.waves,
+            );
+            for mut r in outcome.results.drain(results_from..) {
+                let (pi, ri) = (r.ticket.id() as usize / nreq, r.ticket.id() as usize % nreq);
+                arena.signals[ri * width..][program.parts()[pi].exports()]
+                    .copy_from_slice(&r.outputs);
+                let track = &mut arena.tracks[ri];
+                if track.worst.as_ref().is_none_or(|(a, _)| r.attempts >= *a) {
+                    track.worst = Some((r.attempts, r.attempt_latencies.clone()));
+                }
+                if track.anchor.as_ref().is_none_or(|(p, _)| pi >= *p) {
+                    r.wave += wave_base;
+                    track.anchor = Some((pi, r));
+                }
+            }
+            // A dead-lettered part fails its whole request (a partial
+            // circuit has no meaning): one [`FailedRequest`] below.
+            for f in outcome.failed.drain(failed_from..) {
+                let failed = arena.tracks[f.ticket.id() as usize % nreq]
+                    .failed
+                    .get_or_insert(0);
                 *failed = (*failed).max(f.attempts);
             }
-            outcome.merge(scratch);
+            for g in arena.groups.drain(..) {
+                let mut sub = g.requests;
+                sub.clear();
+                arena.request_bufs.push(sub);
+            }
             ran?;
         }
 
-        for (ri, (ticket, submitted_at, inputs)) in requests.iter().enumerate() {
-            if let Some(attempts) = failed_req[ri] {
-                outcome.failed.push(FailedRequest {
-                    ticket: *ticket,
-                    attempts,
-                });
+        let nout = program.num_outputs();
+        let outputs: Arc<[bool]> = (0..nreq)
+            .flat_map(|ri| program.outputs().iter().map(move |&s| ri * width + s))
+            .map(|i| arena.signals[i])
+            .collect();
+        for (ri, &(ticket, submitted_at, _)) in requests.iter().enumerate() {
+            let track = std::mem::take(&mut arena.tracks[ri]);
+            if let Some(attempts) = track.failed {
+                outcome.failed.push(FailedRequest { ticket, attempts });
                 continue;
             }
-            let outputs: Vec<bool> = program
-                .outputs()
-                .iter()
-                .map(|&route| match route {
-                    RouteSource::Host(i) => inputs[i],
-                    RouteSource::Part { part, output } => part_outputs[part][ri][output],
-                })
-                .collect();
-            // A gate-free partition (outputs pass straight through) never
-            // dispatched anything; anchor such a result at rest.
-            let anchor = anchors[ri].take().unwrap_or(Anchor {
-                part: 0,
-                shard: 0,
-                wave: 0,
-                axis: self.axis_policy.axis_for(0),
-                line: 0,
-                offset: 0,
-                queue_latency: submitted_at.elapsed(),
-                execute_latency: Duration::ZERO,
-                attempt_latencies: vec![Duration::ZERO],
-            });
-            outcome.results.push(TicketResult {
-                ticket: *ticket,
-                shard: anchor.shard,
-                wave: anchor.wave,
-                axis: anchor.axis,
-                line: anchor.line,
-                offset: anchor.offset,
-                outputs: outputs.into(),
-                attempts: attempts_max[ri],
-                queue_latency: anchor.queue_latency,
-                execute_latency: anchor.execute_latency,
-                attempt_latencies: anchor.attempt_latencies,
-            });
+            let (attempts, attempt_latencies) = track
+                .worst
+                .unwrap_or((1, AttemptLatencies::one(Duration::ZERO)));
+            let merged = TicketResult {
+                ticket,
+                outputs: OutputSlice::new(Arc::clone(&outputs), ri * nout, nout),
+                attempts,
+                execute_latency: attempt_latencies.iter().sum(),
+                attempt_latencies,
+                ..match track.anchor {
+                    Some((_, last)) => last,
+                    // A gate-free partition (outputs pass straight
+                    // through) dispatched nothing: anchor it at rest.
+                    None => TicketResult {
+                        ticket,
+                        shard: 0,
+                        wave: 0,
+                        axis: knobs.axis_policy.axis_for(0),
+                        line: 0,
+                        offset: 0,
+                        outputs: OutputSlice::default(),
+                        attempts,
+                        queue_latency: submitted_at.elapsed(),
+                        execute_latency: Duration::ZERO,
+                        attempt_latencies: AttemptLatencies::one(Duration::ZERO),
+                    },
+                }
+            };
+            outcome.results.push(merged);
         }
         Ok(())
     }
+
+    /// The scheduler knobs of this pool, with the wear rotation starting
+    /// at `origin_base`.
+    fn knobs(&self, origin_base: usize) -> PackingKnobs {
+        PackingKnobs {
+            batch_limit: self.batch_limit,
+            pack_limit: self.pack_limit,
+            axis_policy: self.axis_policy,
+            origin_base,
+            max_retries: self.max_retries,
+            colocate: self.colocate,
+        }
+    }
+}
+
+/// One partitioned request's progress through its wave chain.
+#[derive(Debug, Default)]
+pub(crate) struct Track {
+    /// The latest part's sub-request result and its part index: the
+    /// merged result's placement and queue latency.
+    anchor: Option<(usize, TicketResult)>,
+    /// Attempts and latencies of the most-retried part so far.
+    worst: Option<(u32, AttemptLatencies)>,
+    /// Attempts of a dead-lettered part: the request has failed.
+    failed: Option<u32>,
 }
 
 impl std::fmt::Debug for ClusterCore {

@@ -7,12 +7,19 @@
 //! [`DeviceError::ProgramTooWide`](crate::device::DeviceError::ProgramTooWide).
 //! This module is the escape hatch: it cuts the oversized NOR DAG into
 //! line-sized parts (`pimecc_netlist::partition`), compiles each part
-//! through the existing SIMPLER `map_dense` path, and records a routing
-//! table saying which cut signals must be read back after one part's wave
-//! and re-loaded as inputs to its dependents. The cluster layer executes
-//! the resulting [`PartitionedProgram`] as dependency-ordered waves with
-//! host-side routing between them — ECC pre-checks run on every wave,
-//! exactly as for ordinary programs.
+//! through the existing SIMPLER `map_dense` path, and resolves every route
+//! once, at compile time, into an index into a per-request **signal row**:
+//!
+//! ```text
+//! [ host inputs | part 0 exports | part 1 exports | … ]
+//! ```
+//!
+//! Each part reads its inputs from row indices fixed here and its readback
+//! lands in its own export range, so a cut signal is read back after one
+//! part's wave and re-loaded into its dependents by plain index copies. The
+//! cluster layer executes the resulting [`PartitionedProgram`] as
+//! dependency-ordered waves with host-side routing between them — ECC
+//! pre-checks run on every wave, exactly as for ordinary programs.
 //!
 //! Compile through
 //! [`PimCluster::compile_partitioned`](crate::cluster::PimCluster::compile_partitioned)
@@ -60,31 +67,15 @@ use crate::device::{netlist_fingerprint, CompiledProgram, ProgramCache};
 /// packed netlist-fingerprint domains.
 const PARTITION_KEY_SALT: u64 = 0x50AB_5EC7_0A27_711E;
 
-/// Where one value consumed (or produced) by a partitioned program comes
-/// from: the host's original input vector, or an output slot of an earlier
-/// part — a cut signal the scheduler reads back and re-loads between
-/// waves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RouteSource {
-    /// Bit `.0` of the request's original input vector.
-    Host(usize),
-    /// Output `output` of sub-program `part` (an index into
-    /// [`PartitionedProgram::parts`]).
-    Part {
-        /// Producing part index; always from a strictly lower level.
-        part: usize,
-        /// Output position within the producing part's readback.
-        output: usize,
-    },
-}
-
 /// One line-sized slice of a [`PartitionedProgram`]: a SIMPLER-compiled
-/// sub-program plus the routes feeding its inputs.
+/// sub-program plus the signal-row indices feeding its inputs and the row
+/// range its outputs fill.
 #[derive(Debug, Clone)]
 pub struct SubProgram {
     program: CompiledProgram,
     level: usize,
-    inputs: Vec<RouteSource>,
+    inputs: Vec<usize>,
+    exports: Range<usize>,
 }
 
 impl SubProgram {
@@ -99,9 +90,16 @@ impl SubProgram {
         self.level
     }
 
-    /// Where each of the sub-program's inputs comes from, in input order.
-    pub fn inputs(&self) -> &[RouteSource] {
+    /// The signal-row index each of the sub-program's inputs is read
+    /// from, in input order; every index lies before [`exports`](Self::exports).
+    pub fn inputs(&self) -> &[usize] {
         &self.inputs
+    }
+
+    /// The signal-row range the sub-program's outputs are written to, in
+    /// output order.
+    pub fn exports(&self) -> Range<usize> {
+        self.exports.clone()
     }
 }
 
@@ -118,11 +116,23 @@ impl SubProgram {
 /// matching `submit_partitioned`. The scheduler executes the parts level
 /// by level, reading cut signals back after each wave and re-loading them
 /// into the dependent parts' input cells.
+///
+/// Routing is compiled: every request owns one signal row of
+/// [`signal_width`](Self::signal_width) bits laid out as
+/// `[host inputs | part 0 exports | part 1 exports | …]`. The primary
+/// inputs fill the head, each part's readback fills its
+/// [`SubProgram::exports`] range, and every consumer — a part's
+/// [`SubProgram::inputs`] or a primary [`output`](Self::outputs) — is a
+/// plain index into that row. An index below
+/// [`num_inputs`](Self::num_inputs) is a host input bit; any other lies in
+/// exactly one part's export range (output `k` of that part sits at
+/// `exports().start + k`).
 #[derive(Debug)]
 pub struct PartitionedProgram {
     partition: NetlistPartition,
     parts: Vec<SubProgram>,
-    outputs: Vec<RouteSource>,
+    outputs: Vec<usize>,
+    signal_width: usize,
     num_inputs: usize,
     max_row_size: usize,
     fingerprint: u64,
@@ -162,9 +172,15 @@ impl PartitionedProgram {
         self.outputs.len()
     }
 
-    /// Where each primary output comes from, in output order.
-    pub fn outputs(&self) -> &[RouteSource] {
+    /// The signal-row index of each primary output, in output order.
+    pub fn outputs(&self) -> &[usize] {
         &self.outputs
+    }
+
+    /// Bits in one request's signal row: the primary inputs plus every
+    /// part's exports.
+    pub fn signal_width(&self) -> usize {
+        self.signal_width
     }
 
     /// Total cut signals routed host-side per request (each is one
@@ -205,17 +221,18 @@ impl PartitionedProgram {
     }
 }
 
-/// Maps `source` (in the partition's global coordinates) to a route.
-fn route_of(partition: &NetlistPartition, source: NorSource) -> RouteSource {
+/// Maps `source` (in the partition's global coordinates) to its
+/// signal-row index; `bases[p]` is where part `p`'s exports start.
+fn signal_of(partition: &NetlistPartition, bases: &[usize], source: NorSource) -> usize {
     match source {
-        NorSource::Input(i) => RouteSource::Host(i),
+        NorSource::Input(i) => i,
         NorSource::Gate(g) => {
             let part = partition.part_of(g);
             let output = partition.parts()[part]
                 .exports()
                 .binary_search(&g)
                 .expect("producer exports every cut gate");
-            RouteSource::Part { part, output }
+            bases[part] + output
         }
     }
 }
@@ -236,12 +253,19 @@ pub(crate) fn compile_partitioned(
     let mut budget = row_size.max(1);
     loop {
         let partition = partition_nor(netlist, budget).expect("positive budget always partitions");
-        match compile_parts(cache, &partition, row_size) {
+        // Start of each part's export range in the signal row, plus the
+        // row width as the final entry.
+        let mut bases = Vec::with_capacity(partition.num_parts() + 1);
+        bases.push(partition.num_inputs());
+        for sub in partition.parts() {
+            bases.push(bases[bases.len() - 1] + sub.exports().len());
+        }
+        match compile_parts(cache, &partition, &bases, row_size) {
             Ok(parts) => {
                 let outputs = partition
                     .outputs()
                     .iter()
-                    .map(|&s| route_of(&partition, s))
+                    .map(|&s| signal_of(&partition, &bases, s))
                     .collect();
                 let max_row_size = parts
                     .iter()
@@ -255,6 +279,7 @@ pub(crate) fn compile_partitioned(
                 return Ok(PartitionedProgram {
                     num_inputs: partition.num_inputs(),
                     outputs,
+                    signal_width: bases[partition.num_parts()],
                     parts,
                     max_row_size,
                     fingerprint: h.finish(),
@@ -276,22 +301,25 @@ pub(crate) fn compile_partitioned(
 fn compile_parts(
     cache: &mut ProgramCache,
     partition: &NetlistPartition,
+    bases: &[usize],
     row_size: usize,
 ) -> Result<Vec<SubProgram>, MapError> {
     partition
         .parts()
         .iter()
-        .map(|sub| {
+        .enumerate()
+        .map(|(pi, sub)| {
             let program = cache.compile_packed(sub.netlist(), row_size)?;
             let inputs = sub
                 .inputs()
                 .iter()
-                .map(|&s| route_of(partition, s))
+                .map(|&s| signal_of(partition, bases, s))
                 .collect();
             Ok(SubProgram {
                 program,
                 level: sub.level(),
                 inputs,
+                exports: bases[pi]..bases[pi + 1],
             })
         })
         .collect()
@@ -318,24 +346,56 @@ mod tests {
         }
     }
 
+    /// The part whose export range holds `signal`; `None` for a host
+    /// input bit.
+    fn producer(p: &PartitionedProgram, signal: usize) -> Option<usize> {
+        p.parts().iter().position(|q| q.exports().contains(&signal))
+    }
+
     #[test]
     fn routes_are_consistent_with_levels() {
         let nor = generators::mul(6).to_nor();
         let p = compile(&nor, 30);
-        for (pi, part) in p.parts().iter().enumerate() {
+        for part in p.parts() {
             assert_eq!(part.inputs().len(), part.program().num_inputs());
-            for route in part.inputs() {
-                if let RouteSource::Part { part: src, output } = *route {
-                    assert!(src < pi, "routes flow forward");
-                    assert!(p.parts()[src].level() < part.level());
-                    assert!(output < p.parts()[src].program().num_outputs());
+            assert_eq!(part.exports().len(), part.program().num_outputs());
+            for &signal in part.inputs() {
+                assert!(signal < part.exports().start, "routes flow forward");
+                match producer(&p, signal) {
+                    Some(src) => assert!(p.parts()[src].level() < part.level()),
+                    None => assert!(signal < p.num_inputs()),
                 }
             }
         }
-        for route in p.outputs() {
-            if let RouteSource::Part { part: src, output } = *route {
-                assert!(output < p.parts()[src].program().num_outputs());
+        for &signal in p.outputs() {
+            assert!(signal < p.signal_width());
+        }
+    }
+
+    #[test]
+    fn signal_row_lays_inputs_then_exports_in_part_order() {
+        let nor = generators::mul(6).to_nor();
+        let p = compile(&nor, 30);
+        let mut next = p.num_inputs();
+        for (pi, part) in p.parts().iter().enumerate() {
+            assert_eq!(
+                part.exports().start,
+                next,
+                "part {pi} follows its predecessor"
+            );
+            next = part.exports().end;
+        }
+        assert_eq!(p.signal_width(), next);
+        // Routing through the row reproduces the partition's reference.
+        for v in [0u64, 0b1011_0110_0101, 0xFFF] {
+            let inputs: Vec<bool> = (0..p.num_inputs()).map(|i| v >> i & 1 != 0).collect();
+            let mut row = inputs.clone();
+            for (part, sub) in p.parts().iter().zip(p.partition().parts()) {
+                let local: Vec<bool> = part.inputs().iter().map(|&s| row[s]).collect();
+                row.extend(sub.netlist().eval(&local));
             }
+            let routed: Vec<bool> = p.outputs().iter().map(|&s| row[s]).collect();
+            assert_eq!(routed, p.partition().eval(&inputs));
         }
     }
 

@@ -63,21 +63,21 @@ pub struct OutputArena {
 }
 
 impl OutputArena {
-    pub(crate) fn with_capacity(width: usize, requests: usize) -> Self {
+    pub(crate) fn new() -> Self {
         OutputArena {
-            bits: Vec::with_capacity(width * requests),
-            width,
+            bits: Vec::new(),
+            width: 0,
             requests: 0,
         }
     }
 
-    /// Appends one request's output bits (device-side fill).
-    ///
-    /// The slice length must equal the arena's width.
-    pub(crate) fn push_request(&mut self, bits: &[bool]) {
-        debug_assert_eq!(bits.len(), self.width);
-        self.bits.extend_from_slice(bits);
-        self.requests += 1;
+    /// Empties the arena for a refill of `requests` requests of `width`
+    /// bits, keeping its buffer (device-side fill).
+    pub(crate) fn reset(&mut self, width: usize, requests: usize) {
+        self.bits.clear();
+        self.bits.reserve(width * requests);
+        self.width = width;
+        self.requests = 0;
     }
 
     /// Output bits per request.
@@ -123,15 +123,6 @@ impl OutputArena {
     /// moves this behind one `Arc` per batch and slices it per ticket.
     pub fn into_bits(self) -> Vec<bool> {
         self.bits
-    }
-
-    /// The pre-arena shape: one freshly allocated `Vec<bool>` per request.
-    #[deprecated(
-        since = "0.10.0",
-        note = "allocates one Vec per request; use `get`, `iter` or `as_bits` on the arena instead"
-    )]
-    pub fn to_vecs(&self) -> Vec<Vec<bool>> {
-        self.iter().map(<[bool]>::to_vec).collect()
     }
 }
 
@@ -288,6 +279,41 @@ pub struct MultiBatchOutcome {
     /// parts (block-lines are physical; [`UncorrectableInput::covers_line`]
     /// applies to any part's slot lines).
     pub uncorrectable_input: Option<UncorrectableInput>,
+}
+
+/// A wave's accounting without its readback: what the device's internal
+/// wave path returns while the outputs land in caller-owned arenas.
+#[derive(Debug)]
+pub(crate) struct WaveTally {
+    pub(crate) input_check: CheckReport,
+    pub(crate) stats: MachineStats,
+    pub(crate) gate_evals: u64,
+    pub(crate) uncorrectable_input: Option<UncorrectableInput>,
+}
+
+impl WaveTally {
+    /// The public one-program outcome.
+    pub(crate) fn into_batch(self, outputs: OutputArena, placement: PlacementPlan) -> BatchOutcome {
+        BatchOutcome {
+            outputs,
+            placement,
+            input_check: self.input_check,
+            stats: self.stats,
+            gate_evals: self.gate_evals,
+            uncorrectable_input: self.uncorrectable_input,
+        }
+    }
+
+    /// The public multi-program outcome.
+    pub(crate) fn into_multi(self, parts: Vec<OutputArena>) -> MultiBatchOutcome {
+        MultiBatchOutcome {
+            parts,
+            input_check: self.input_check,
+            stats: self.stats,
+            gate_evals: self.gate_evals,
+            uncorrectable_input: self.uncorrectable_input,
+        }
+    }
 }
 
 impl MultiBatchOutcome {

@@ -65,6 +65,7 @@ pub mod placement;
 mod program;
 mod retire;
 
+pub(crate) use batch::WaveTally;
 pub use batch::{
     BatchOutcome, MultiBatchOutcome, OutputArena, OutputArenaIter, UncorrectableInput,
 };
@@ -756,37 +757,31 @@ impl PimDevice {
         program: &CompiledProgram,
         plan: &PlacementPlan,
     ) -> Result<BatchOutcome, DeviceError> {
-        let MultiBatchOutcome {
-            mut parts,
-            input_check,
-            stats,
-            gate_evals,
-            uncorrectable_input,
-        } = self.execute_parts_checked(&[(program, plan)])?;
-        Ok(BatchOutcome {
-            outputs: parts.pop().expect("single-part execution yields one arena"),
-            placement: plan.clone(),
-            input_check,
-            stats,
-            gate_evals,
-            uncorrectable_input,
-        })
+        let mut arenas = Vec::with_capacity(1);
+        let tally = self.execute_parts_checked(1, |_| (program, plan), &mut arenas)?;
+        let outputs = arenas
+            .pop()
+            .expect("single-part execution yields one arena");
+        Ok(tally.into_batch(outputs, plan.clone()))
     }
 
-    /// The shared execution tail for one wave of one or more co-located
-    /// program parts (each `(program, plan)` pre-validated; plans pairwise
-    /// line-disjoint when more than one): **one** ECC pre-check sweep over
-    /// the union of touched block-lines, each part's steps replayed once
-    /// per occupied offset, one stuck-gated post-check, one scrub/strike
-    /// pass for the suspect lines, then per-part arena readback. Checks
-    /// scale with touched block-lines, not parts — co-residency is free at
-    /// the ECC layer.
-    fn execute_parts_checked(
+    /// The shared execution tail for one wave of `parts` co-located
+    /// program parts (`part(i)` yields part `i`'s pre-validated
+    /// `(program, plan)`; plans pairwise line-disjoint when more than one):
+    /// **one** ECC pre-check sweep over the union of touched block-lines,
+    /// each part's steps replayed once per occupied offset, one
+    /// stuck-gated post-check, one scrub/strike pass for the suspect lines,
+    /// then per-part readback into `arenas[..parts]` (grown as needed,
+    /// each refilled in place). Checks scale with touched block-lines, not
+    /// parts — co-residency is free at the ECC layer.
+    fn execute_parts_checked<'p>(
         &mut self,
-        parts: &[(&CompiledProgram, &PlacementPlan)],
-    ) -> Result<MultiBatchOutcome, DeviceError> {
+        parts: usize,
+        part: impl Fn(usize) -> (&'p CompiledProgram, &'p PlacementPlan),
+        arenas: &mut Vec<OutputArena>,
+    ) -> Result<WaveTally, DeviceError> {
         let stats_before = *self.memory.stats();
-        let axis = parts[0].1.axis();
+        let axis = part(0).1.axis();
         let m = self.memory.geometry().m();
 
         // Block-lines with uncorrectable verdicts this wave: every
@@ -796,9 +791,9 @@ impl PimDevice {
         if !matches!(self.check_policy, CheckPolicy::Skip) {
             let bps = self.memory.geometry().blocks_per_side();
             self.block_lines.clear();
-            for (_, plan) in parts {
+            for p in 0..parts {
                 self.block_lines
-                    .extend(plan.slots().iter().map(|s| s.line / m));
+                    .extend(part(p).1.slots().iter().map(|s| s.line / m));
             }
             self.block_lines.sort_unstable();
             self.block_lines.dedup();
@@ -858,7 +853,8 @@ impl PimDevice {
         // Parts execute in part order — a MAGIC cycle drives one program's
         // voltages, so co-located programs serialize their step sequences
         // (the loads and checks they share are where the wave wins).
-        for &(program, plan) in parts {
+        for p in 0..parts {
+            let (program, plan) = part(p);
             // Walk the offset groups off a reused sorted-slot scratch
             // instead of `plan.offset_groups()` — same groups in the same
             // order, but no per-wave Vec-of-Vecs.
@@ -1008,13 +1004,15 @@ impl PimDevice {
         // Output readback groups consecutive output cells into runs (most
         // programs emit contiguous result words) and pulls each run as one
         // word extraction instead of per-bit probes, appending straight
-        // into each part's contiguous [`OutputArena`] — one allocation per
-        // part, not one per request. Readback is free in the device model
+        // into each part's contiguous [`OutputArena`] — a reused buffer per
+        // part, never one per request. Readback is free in the device model
         // either way — this only changes host time.
-        let mut out_parts: Vec<OutputArena> = Vec::with_capacity(parts.len());
+        if arenas.len() < parts {
+            arenas.resize_with(parts, OutputArena::new);
+        }
         let mut gate_evals = 0u64;
-        let mut bits: Vec<bool> = Vec::new();
-        for &(program, plan) in parts {
+        for (p, arena) in arenas[..parts].iter_mut().enumerate() {
+            let (program, plan) = part(p);
             gate_evals += program.gate_cycles() * plan.requests() as u64;
             self.readback_runs.clear();
             for &c in &program.program().output_cells {
@@ -1024,22 +1022,19 @@ impl PimDevice {
                 }
             }
             let grid = self.memory.mem().grid();
-            let mut arena = OutputArena::with_capacity(program.num_outputs(), plan.requests());
+            arena.reset(program.num_outputs(), plan.requests());
             for slot in plan.slots() {
-                bits.clear();
                 for &(s, l) in &self.readback_runs {
                     let word = match axis {
                         Axis::Rows => grid.extract_bits(slot.line, slot.offset + s, l),
                         Axis::Cols => grid.extract_col_bits(slot.line, slot.offset + s, l),
                     };
-                    bits.extend((0..l).map(|i| word >> i & 1 != 0));
+                    arena.bits.extend((0..l).map(|i| word >> i & 1 != 0));
                 }
-                arena.push_request(&bits);
+                arena.requests += 1;
             }
-            out_parts.push(arena);
         }
-        Ok(MultiBatchOutcome {
-            parts: out_parts,
+        Ok(WaveTally {
             input_check,
             stats: *self.memory.stats() - stats_before,
             gate_evals,
@@ -1154,30 +1149,12 @@ impl PimDevice {
         plan: &PlacementPlan,
         requests: &[Vec<bool>],
     ) -> Result<BatchOutcome, DeviceError> {
-        self.check_plan(program, plan)?;
-        if plan.requests() != requests.len() {
-            return Err(DeviceError::PlacementArity {
-                rows: plan.requests(),
-                requests: requests.len(),
-            });
-        }
-        let want = program.num_inputs();
-        if let Some((i, req)) = requests.iter().enumerate().find(|(_, r)| r.len() != want) {
-            return Err(DeviceError::InputArity {
-                request: i,
-                got: req.len(),
-                want,
-            });
-        }
-        let stats_before = *self.memory.stats();
-        self.load_inputs(plan.axis(), &[(plan, requests)])?;
-        if let Some(hook) = self.fault_hook.as_mut() {
-            hook(&mut self.memory);
-        }
-        let mut outcome = self.execute_plan_checked(program, plan)?;
-        // Fold the load phase into the batch's accounting.
-        outcome.stats = *self.memory.stats() - stats_before;
-        Ok(outcome)
+        let mut arenas = Vec::with_capacity(1);
+        let tally = self.run_wave(1, |_| (program, plan, requests), &mut arenas)?;
+        let outputs = arenas
+            .pop()
+            .expect("single-part execution yields one arena");
+        Ok(tally.into_batch(outputs, plan.clone()))
     }
 
     /// Serves one **multi-program wave**: part `p`'s requests execute
@@ -1206,21 +1183,43 @@ impl PimDevice {
                 groups: parts.len(),
             });
         }
-        for (sub, part) in plan.parts().iter().zip(parts) {
-            self.check_plan(part.program, sub)?;
-            if sub.requests() != part.requests.len() {
+        let mut arenas = Vec::with_capacity(parts.len());
+        let tally = self.run_wave(
+            parts.len(),
+            |i| (parts[i].program, &plan.parts()[i], parts[i].requests),
+            &mut arenas,
+        )?;
+        Ok(tally.into_multi(arenas))
+    }
+
+    /// The one load → fault hook → check → replay → readback path behind
+    /// every loading entry point, for `parts` co-located program parts:
+    /// `part(i)` yields part `i`'s program, plan and requests (plans
+    /// pairwise line-disjoint when more than one). Validates every part
+    /// against the device, loads all of them in one merged pass, runs the
+    /// fault hook, then the shared execute tail; part `i`'s readback lands
+    /// in `arenas[i]` (see [`PimDevice::execute_parts_checked`]). The
+    /// returned stats include the load phase.
+    ///
+    /// The cluster scheduler calls this directly with its own part
+    /// storage and reused arenas, so a wave allocates nothing here.
+    pub(crate) fn run_wave<'p>(
+        &mut self,
+        parts: usize,
+        part: impl Fn(usize) -> (&'p CompiledProgram, &'p PlacementPlan, &'p [Vec<bool>]),
+        arenas: &mut Vec<OutputArena>,
+    ) -> Result<WaveTally, DeviceError> {
+        for p in 0..parts {
+            let (program, plan, requests) = part(p);
+            self.check_plan(program, plan)?;
+            if plan.requests() != requests.len() {
                 return Err(DeviceError::PlacementArity {
-                    rows: sub.requests(),
-                    requests: part.requests.len(),
+                    rows: plan.requests(),
+                    requests: requests.len(),
                 });
             }
-            let want = part.program.num_inputs();
-            if let Some((i, req)) = part
-                .requests
-                .iter()
-                .enumerate()
-                .find(|(_, r)| r.len() != want)
-            {
+            let want = program.num_inputs();
+            if let Some((i, req)) = requests.iter().enumerate().find(|(_, r)| r.len() != want) {
                 return Err(DeviceError::InputArity {
                     request: i,
                     got: req.len(),
@@ -1229,25 +1228,24 @@ impl PimDevice {
             }
         }
         let stats_before = *self.memory.stats();
-        let loads: Vec<(&PlacementPlan, &[Vec<bool>])> = plan
-            .parts()
-            .iter()
-            .zip(parts)
-            .map(|(sub, part)| (sub, part.requests))
-            .collect();
-        self.load_inputs(plan.axis(), &loads)?;
+        let axis = part(0).1.axis();
+        self.load_inputs(axis, parts, |p| {
+            let (_, plan, requests) = part(p);
+            (plan, requests)
+        })?;
         if let Some(hook) = self.fault_hook.as_mut() {
             hook(&mut self.memory);
         }
-        let execs: Vec<(&CompiledProgram, &PlacementPlan)> = plan
-            .parts()
-            .iter()
-            .zip(parts)
-            .map(|(sub, part)| (part.program, sub))
-            .collect();
-        let mut outcome = self.execute_parts_checked(&execs)?;
-        outcome.stats = *self.memory.stats() - stats_before;
-        Ok(outcome)
+        let mut tally = self.execute_parts_checked(
+            parts,
+            |p| {
+                let (program, plan, _) = part(p);
+                (program, plan)
+            },
+            arenas,
+        )?;
+        tally.stats = *self.memory.stats() - stats_before;
+        Ok(tally)
     }
 
     /// Loads every part's requests into its planned slots, merging all
@@ -1259,10 +1257,11 @@ impl PimDevice {
     /// bits per store, no per-cell tuples); other configurations stage
     /// sparse cell lists per line. Both machine entry points are bit- and
     /// stats-identical to per-line driven writes.
-    fn load_inputs(
+    fn load_inputs<'p>(
         &mut self,
         axis: Axis,
-        parts: &[(&PlacementPlan, &[Vec<bool>])],
+        parts: usize,
+        part: impl Fn(usize) -> (&'p PlacementPlan, &'p [Vec<bool>]),
     ) -> Result<(), DeviceError> {
         let written = if self.memory.supports_fused_rows() {
             let stride = self.capacity().div_ceil(64);
@@ -1270,7 +1269,8 @@ impl PimDevice {
             self.plane_val.resize(self.capacity() * stride, 0);
             self.plane_touched.resize(self.capacity().div_ceil(64), 0);
             self.touched_lines.clear();
-            for &(plan, requests) in parts {
+            for p in 0..parts {
+                let (plan, requests) = part(p);
                 for (slot, req) in plan.slots().iter().zip(requests) {
                     let (tw, tb) = (slot.line / 64, 1u64 << (slot.line % 64));
                     if self.plane_touched[tw] & tb == 0 {
@@ -1332,7 +1332,8 @@ impl PimDevice {
                 self.line_loads.resize_with(self.capacity(), Vec::new);
             }
             self.touched_lines.clear();
-            for &(plan, requests) in parts {
+            for p in 0..parts {
+                let (plan, requests) = part(p);
                 for (slot, req) in plan.slots().iter().zip(requests) {
                     let cells = &mut self.line_loads[slot.line];
                     if cells.is_empty() {

@@ -112,6 +112,37 @@ impl PlacementPlan {
         origin: usize,
         avoid: &[usize],
     ) -> Result<Self, DeviceError> {
+        let mut plan = PlacementPlan::empty();
+        plan.repack(
+            axis,
+            line_len,
+            slot_width,
+            line_limit,
+            per_line_cap,
+            requests,
+            origin,
+            avoid,
+        )?;
+        Ok(plan)
+    }
+
+    /// [`PlacementPlan::pack_avoiding`] in place: rebuilds `self` from the
+    /// same arguments, reusing its slot buffer, so a per-wave planner packs
+    /// without allocating. On error `self` is left empty.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn repack(
+        &mut self,
+        axis: Axis,
+        line_len: usize,
+        slot_width: usize,
+        line_limit: usize,
+        per_line_cap: usize,
+        requests: usize,
+        origin: usize,
+        avoid: &[usize],
+    ) -> Result<(), DeviceError> {
+        self.slots.clear();
+        self.lines_occupied = 0;
         if slot_width == 0 {
             return Err(DeviceError::ZeroSlotWidth);
         }
@@ -129,29 +160,9 @@ impl PlacementPlan {
             avoid.windows(2).all(|w| w[0] < w[1]),
             "avoid must be sorted ascending and deduplicated"
         );
-        // Physical lines still in service, in order: logical line `l` of
-        // the fill lands on `allowed[l]`. Empty `avoid` keeps the identity
-        // mapping without allocating.
-        let allowed: Vec<usize> = if avoid.is_empty() {
-            Vec::new()
-        } else {
-            let mut next_avoided = avoid.iter().copied().peekable();
-            (0..line_len)
-                .filter(|&l| {
-                    if next_avoided.peek() == Some(&l) {
-                        next_avoided.next();
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .collect()
-        };
-        let in_service = if avoid.is_empty() {
-            line_len
-        } else {
-            allowed.len()
-        };
+        // Physical lines still in service; logical line `l` of the fill
+        // lands on the `l`-th of them.
+        let in_service = line_len - avoid.partition_point(|&l| l < line_len);
         let lines_avail = line_limit.min(in_service);
         // Admitted fill depth vs the line's full geometric slot capacity:
         // the former caps how many requests share a line, the latter is
@@ -166,20 +177,31 @@ impl PlacementPlan {
         }
         let lines_used = requests.min(lines_avail);
         let origin = origin % slot_columns;
-        let slots = (0..requests)
-            .map(|i| {
-                let logical = i % lines_used;
-                Slot {
-                    line: if avoid.is_empty() {
-                        logical
-                    } else {
-                        allowed[logical]
-                    },
-                    offset: ((origin + i / lines_used) % slot_columns) * slot_width,
+        // Depth 0 walks the in-service lines in order, skipping avoided
+        // ones; every deeper slot reuses the line of its depth-0 twin.
+        let mut avoided = avoid.iter().copied().peekable();
+        let mut next_line = 0;
+        for i in 0..requests {
+            let line = if i < lines_used {
+                while avoided.peek() == Some(&next_line) {
+                    avoided.next();
+                    next_line += 1;
                 }
-            })
-            .collect();
-        PlacementPlan::new(axis, line_len, slot_width, slots)
+                next_line += 1;
+                next_line - 1
+            } else {
+                self.slots[i % lines_used].line
+            };
+            self.slots.push(Slot {
+                line,
+                offset: ((origin + i / lines_used) % slot_columns) * slot_width,
+            });
+        }
+        self.axis = axis;
+        self.line_len = line_len;
+        self.slot_width = slot_width;
+        self.lines_occupied = lines_used;
+        Ok(())
     }
 }
 
@@ -349,9 +371,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // Any pack the packer accepts is internally consistent: slots
-        // disjoint (enforced by the validating constructor — reaching
-        // `Ok` proves it), density within caps, line usage minimal.
+        // Any pack the packer accepts is internally consistent: the
+        // validating constructor accepts its slots as they are (in range,
+        // disjoint, same line count), density within caps, line usage
+        // minimal.
         #[test]
         fn packed_plans_are_disjoint_and_within_caps(
             line_len in 4usize..64,
@@ -364,6 +387,9 @@ mod tests {
                 Axis::Rows, line_len, slot_width, line_limit, per_line_cap, requests,
             ) {
                 Ok(plan) => {
+                    let validated =
+                        PlacementPlan::new(Axis::Rows, line_len, slot_width, plan.slots().to_vec());
+                    prop_assert_eq!(validated.as_ref(), Ok(&plan));
                     prop_assert_eq!(plan.requests(), requests);
                     prop_assert!(plan.max_per_line() <= per_line_cap);
                     prop_assert!(plan.lines_occupied() <= line_limit.min(line_len));
@@ -380,6 +406,33 @@ mod tests {
                     DeviceError::BatchTooLarge { .. } | DeviceError::ProgramTooWide { .. },
                 ) => {}
                 Err(e) => panic!("unexpected error {e}"),
+            }
+        }
+
+        // An avoiding pack maps logical line `l` onto the `l`-th line in
+        // service, whatever the avoid set, and passes the validating
+        // constructor.
+        #[test]
+        fn avoiding_packs_fill_the_lines_in_service_in_order(
+            line_len in 4usize..64,
+            slot_width in 1usize..16,
+            requests in 1usize..200,
+            origin in 0usize..100,
+            avoid_mask in 0u64..u64::MAX,
+        ) {
+            let avoid: Vec<usize> = (0..line_len).filter(|l| avoid_mask >> l & 1 == 1).collect();
+            let in_service: Vec<usize> =
+                (0..line_len).filter(|l| avoid_mask >> l & 1 == 0).collect();
+            if let Ok(plan) = PlacementPlan::pack_avoiding(
+                Axis::Rows, line_len, slot_width, line_len, usize::MAX, requests, origin, &avoid,
+            ) {
+                let validated =
+                    PlacementPlan::new(Axis::Rows, line_len, slot_width, plan.slots().to_vec());
+                prop_assert_eq!(validated.as_ref(), Ok(&plan));
+                let used = plan.lines_occupied();
+                for (i, slot) in plan.slots().iter().enumerate() {
+                    prop_assert_eq!(slot.line, in_service[i % used]);
+                }
             }
         }
 
@@ -407,6 +460,9 @@ mod tests {
                         requests, origin,
                     ).expect("same arguments pack again");
                     prop_assert_eq!(&plan, &again, "rotation must be deterministic");
+                    let validated =
+                        PlacementPlan::new(Axis::Cols, line_len, slot_width, plan.slots().to_vec());
+                    prop_assert_eq!(validated.as_ref(), Ok(&plan));
                     prop_assert_eq!(plan.requests(), requests);
                     prop_assert!(plan.max_per_line() <= per_line_cap);
                     prop_assert_eq!(

@@ -71,14 +71,14 @@ pub struct Slot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[must_use]
 pub struct PlacementPlan {
-    axis: Axis,
-    line_len: usize,
-    slot_width: usize,
-    slots: Vec<Slot>,
+    pub(super) axis: Axis,
+    pub(super) line_len: usize,
+    pub(super) slot_width: usize,
+    pub(super) slots: Vec<Slot>,
     /// Distinct lines the slots touch, counted once at construction (the
     /// validation pass sorts the slots anyway) so per-wave reporting does
     /// not re-sort.
-    lines_occupied: usize,
+    pub(super) lines_occupied: usize,
 }
 
 impl PlacementPlan {
@@ -141,6 +141,18 @@ impl PlacementPlan {
             slots,
             lines_occupied,
         })
+    }
+
+    /// A zero-slot shell for [`PlacementPlan::repack`] to fill — never
+    /// executed as is (every constructor rejects an empty plan).
+    pub(crate) fn empty() -> Self {
+        PlacementPlan {
+            axis: Axis::Rows,
+            line_len: 0,
+            slot_width: 0,
+            slots: Vec::new(),
+            lines_occupied: 0,
+        }
     }
 
     /// The axis the batch occupies.

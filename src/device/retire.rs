@@ -141,11 +141,23 @@ impl RetiredLines {
     /// every retired block-line, ascending — the `avoid` argument of
     /// [`PlacementPlan::pack_avoiding`](super::placement::PlacementPlan::pack_avoiding).
     pub fn avoid_lines(&self, axis: Axis) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.retired_count(axis) * self.m);
-        for bl in self.retired_block_lines(axis) {
-            out.extend(bl * self.m..(bl + 1) * self.m);
-        }
+        let mut out = Vec::new();
+        self.avoid_lines_into(axis, &mut out);
         out
+    }
+
+    /// [`RetiredLines::avoid_lines`] into a caller-owned buffer (cleared
+    /// first), so a per-wave planner reuses one allocation.
+    pub(crate) fn avoid_lines_into(&self, axis: Axis, out: &mut Vec<usize>) {
+        out.clear();
+        if self.retired_count(axis) == 0 {
+            return;
+        }
+        for (bl, &retired) in self.ledger(axis).retired.iter().enumerate() {
+            if retired {
+                out.extend(bl * self.m..(bl + 1) * self.m);
+            }
+        }
     }
 
     /// Physical lines still in service on `axis` for an `n`-line device.

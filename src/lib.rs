@@ -91,7 +91,7 @@ pub mod compiler;
 pub mod device;
 
 pub use cluster::{ClusterError, ClusterOutcome, PimCluster, PimClusterBuilder, Ticket};
-pub use compiler::{PartitionedProgram, RouteSource, SubProgram};
+pub use compiler::{PartitionedProgram, SubProgram};
 pub use device::{BatchOutcome, CompiledProgram, PimDevice, PimDeviceBuilder};
 pub use pimecc_core as core;
 pub use pimecc_netlist as netlist;
@@ -119,7 +119,7 @@ pub mod prelude {
         LatencyStats, OutputSlice, PimCluster, PimClusterBuilder, ShardHealth, ShardReport,
         ShardState, Ticket, TicketResult,
     };
-    pub use crate::compiler::{PartitionedProgram, RouteSource, SubProgram};
+    pub use crate::compiler::{PartitionedProgram, SubProgram};
     pub use crate::device::{
         Axis, BatchOutcome, CheckPolicy, CompiledProgram, CoveragePolicy, DeviceError,
         MultiProgramPlan, OutputArena, PimDevice, PimDeviceBuilder, PlacementPlan, RetiredLines,

@@ -286,3 +286,145 @@ proptest! {
         );
     }
 }
+
+/// Uncorrectable strikes on a one-shard (30, 3) pool: each strike flips
+/// the fixed cell pair `(3·br, 3·bc)`/`(3·br, 3·bc + 1)` of one block. A
+/// block therefore only ever holds zero or two unrepaired flips, which the
+/// diagonal code always reports as uncorrectable — never as a correctable
+/// single, so no strike can be repaired into a wrong answer.
+fn struck_pool(
+    max_retries: u32,
+    mut strike: impl FnMut() -> Option<(usize, usize)> + Send + 'static,
+) -> PimCluster {
+    PimClusterBuilder::new(1, 30, 3)
+        .max_retries(max_retries)
+        .shard_fault_hook(0, move |pm| {
+            if let Some((br, bc)) = strike() {
+                pm.inject_fault(3 * br, 3 * bc);
+                pm.inject_fault(3 * br, 3 * bc + 1);
+            }
+        })
+        .build()
+        .expect("cluster")
+}
+
+/// Serves `pairs` as one mul16 burst on `cluster` and checks the fault
+/// contract: every request resolves bit-exact or as exactly one
+/// [`FailedRequest`] on its own ticket, attempts stay within the retry
+/// budget with one latency sample per attempt, and no synthetic
+/// sub-request ticket reaches the caller.
+fn serve_struck_burst(
+    cluster: &mut PimCluster,
+    pairs: &[(u64, u64)],
+    max_retries: u32,
+) -> ClusterOutcome {
+    // Ordinary traffic first, so the burst's tickets do not start at 0
+    // and a leaked synthetic ticket would be told apart by id as well as
+    // by count.
+    let small = cluster.compile_packed(&mul(2).to_nor()).expect("compiles");
+    for v in 0..40u128 {
+        let _ = cluster
+            .submit(&small, mul_inputs(2, v % 4, v / 4 % 4))
+            .expect("submits");
+    }
+    let _ = cluster.flush().expect("flushes");
+
+    let program = cluster
+        .compile_partitioned(&mul16_nor())
+        .expect("partitions");
+    let tickets: Vec<Ticket> = pairs
+        .iter()
+        .map(|&(x, y)| {
+            cluster
+                .submit_partitioned(&program, mul16_inputs(x, y))
+                .expect("submits")
+        })
+        .collect();
+    let outcome = cluster.flush().expect("a struck flush still completes");
+
+    assert_eq!(
+        outcome.results.len() + outcome.failed.len(),
+        pairs.len(),
+        "one resolution per request, no synthetic sub-request leaked"
+    );
+    let mut resolved = std::collections::HashSet::new();
+    for r in &outcome.results {
+        let i = tickets
+            .iter()
+            .position(|t| *t == r.ticket)
+            .expect("results carry only submitted tickets");
+        assert!(resolved.insert(r.ticket), "{} resolved twice", r.ticket);
+        let (x, y) = pairs[i];
+        assert_eq!(r.outputs, mul16_reference(x, y), "{x} * {y}");
+        assert!((1..=1 + max_retries).contains(&r.attempts));
+        assert_eq!(r.attempt_latencies.len(), r.attempts as usize);
+        assert_eq!(r.execute_latency, r.attempt_latencies.iter().sum());
+    }
+    for f in &outcome.failed {
+        assert!(
+            tickets.contains(&f.ticket),
+            "dead letters carry only submitted tickets"
+        );
+        assert!(resolved.insert(f.ticket), "{} resolved twice", f.ticket);
+        assert_eq!(f.attempts, 1 + max_retries, "the budget was spent");
+    }
+    // A merged result's attempt count is the worst chain over its parts,
+    // so it never exceeds the sub-request retries the flush made.
+    let extra: u64 = outcome
+        .results
+        .iter()
+        .map(|r| u64::from(r.attempts - 1))
+        .sum();
+    assert!(extra <= outcome.retries);
+    outcome
+}
+
+fn seeded_strikes(seed: u64, per_load: f64) -> impl FnMut() -> Option<(usize, usize)> + Send {
+    let mut rng = StdRng::seed_from_u64(seed);
+    move || (rng.gen::<f64>() < per_load).then(|| (rng.gen_range(0..10), rng.gen_range(0..10)))
+}
+
+#[test]
+fn partitioned_requests_retry_through_uncorrectable_strikes() {
+    let pairs = operand_pairs(16, 0x5EED_0F17);
+    let mut cluster = struck_pool(2, seeded_strikes(0xBAD5_EED1, 0.1));
+    let outcome = serve_struck_burst(&mut cluster, &pairs, 2);
+    assert!(outcome.retries > 0, "the storm must force retries");
+    assert!(
+        outcome.results.iter().any(|r| r.attempts > 1),
+        "some request must resolve after a retried part"
+    );
+    assert!(outcome.input_check.uncorrectable > 0);
+}
+
+#[test]
+fn partitioned_requests_dead_letter_without_a_retry_budget() {
+    let pairs = operand_pairs(16, 0x5EED_0F18);
+    let mut cluster = struck_pool(0, seeded_strikes(0xBAD5_EED2, 0.1));
+    let outcome = serve_struck_burst(&mut cluster, &pairs, 0);
+    assert!(
+        !outcome.failed.is_empty(),
+        "without a budget a struck part must dead-letter its request"
+    );
+    assert_eq!(outcome.retries, 0);
+    assert_eq!(cluster.health().dead_letters, outcome.failed.len() as u64);
+}
+
+#[test]
+fn merged_attempts_take_the_worst_part_not_the_last() {
+    // One strike on the very first batch load of the burst: only a
+    // level-0 part is retried, yet its requests' merged results report
+    // two attempts, while their anchor is the last level's part.
+    let mut loads = 0usize;
+    let mut cluster = struck_pool(2, move || {
+        loads += 1;
+        // Load 1 is the ordinary warm-up flush's single wave.
+        (loads == 2).then_some((0, 0))
+    });
+    let pairs = operand_pairs(16, 0x5EED_0F19);
+    let outcome = serve_struck_burst(&mut cluster, &pairs, 2);
+    assert!(outcome.failed.is_empty());
+    assert!(outcome.retries > 0);
+    assert!(outcome.results.iter().any(|r| r.attempts == 2));
+    assert!(outcome.results.iter().all(|r| r.attempts <= 2));
+}
