@@ -14,13 +14,18 @@ use pimecc_xbar::{Crossbar, LineSet, XbarError};
 /// The check-bit store: `2·m` logical planes of `(n/m)×(n/m)` bits.
 ///
 /// Plane `d` of a family holds, at `(block_row, block_col)`, the parity of
-/// diagonal `d` of that block. The *simulation* packs the `m` check-bits
-/// of one family of one block into words (bit `d % 64` of word `d / 64`),
-/// so that the word-diff maintenance path can flip every diagonal a
-/// parallel operation touched in a block with one XOR
-/// ([`CheckMemory::xor_block_words`]) and the checker can read a block's
-/// parity vector in one load ([`CheckMemory::block_checks_word`]). The
-/// per-plane API is unchanged.
+/// diagonal `d` of that block. The *simulation* lays each family out like
+/// the MEM it protects: one packed row of `ceil(n/64)` words per block
+/// row, in which block column `bc`'s m check-bits form the field at bits
+/// `bc·m .. bc·m + m` — the same place its segment sits in a data row.
+/// A changed MEM row therefore updates its block row's check rows with
+/// whole-row field rotations (the barrel shifters of Fig. 5 acting on
+/// every block at once), and a block-row check compares whole rows.
+/// Within a field, leading diagonal `d` is bit `d`; the counter family is
+/// kept reversed (diagonal `d` at bit `m - 1 - d`), the form in which row
+/// rotations accumulate it. The per-bit and per-block API hides both
+/// conventions: every block word it takes or returns has bit `d` =
+/// diagonal `d`.
 ///
 /// # Example
 ///
@@ -40,26 +45,26 @@ use pimecc_xbar::{Crossbar, LineSet, XbarError};
 #[derive(Debug, Clone)]
 pub struct CheckMemory {
     geom: BlockGeometry,
-    /// Packed leading-family check words, `wpf` words per block, indexed
-    /// `[(block_row * bps + block_col) * wpf + d / 64]`.
+    /// Leading-family check rows, `stride` words per block row, indexed
+    /// `[block_row * stride + word]`.
     leading: Vec<u64>,
-    /// Counter family, same layout.
+    /// Counter-family check rows, same layout, fields bit-reversed.
     counter: Vec<u64>,
-    /// Words per family per block (`ceil(m / 64)`).
-    wpf: usize,
+    /// Words per check row (`ceil(n / 64)`).
+    stride: usize,
 }
 
 impl CheckMemory {
     /// Creates an all-zero check memory for `geom` (consistent with an
     /// all-zero MEM).
     pub fn new(geom: BlockGeometry) -> Self {
-        let wpf = geom.m().div_ceil(64);
-        let blocks = geom.block_count();
+        let stride = geom.n().div_ceil(64);
+        let words = geom.blocks_per_side() * stride;
         CheckMemory {
             geom,
-            leading: vec![0; blocks * wpf],
-            counter: vec![0; blocks * wpf],
-            wpf,
+            leading: vec![0; words],
+            counter: vec![0; words],
+            stride,
         }
     }
 
@@ -84,15 +89,22 @@ impl CheckMemory {
         }
     }
 
+    /// Word index and bit mask of diagonal `d` of block `(block_row,
+    /// block_col)` in `family`'s rows.
     #[inline]
-    fn index(&self, d: usize, block_row: usize, block_col: usize) -> (usize, u64) {
-        debug_assert!(d < self.geom.m(), "diagonal index out of range");
+    fn index(&self, family: Family, d: usize, block_row: usize, block_col: usize) -> (usize, u64) {
+        let m = self.geom.m();
+        debug_assert!(d < m, "diagonal index out of range");
         debug_assert!(
             block_row < self.geom.blocks_per_side() && block_col < self.geom.blocks_per_side(),
             "block index out of range"
         );
-        let blk = block_row * self.geom.blocks_per_side() + block_col;
-        (blk * self.wpf + d / 64, 1u64 << (d % 64))
+        let bit = match family {
+            Family::Leading => d,
+            Family::Counter => m - 1 - d,
+        };
+        let p = block_col * m + bit;
+        (block_row * self.stride + p / 64, 1u64 << (p % 64))
     }
 
     /// Reads the check-bit of diagonal `d` of block `(block_row,
@@ -102,7 +114,7 @@ impl CheckMemory {
     ///
     /// Panics in debug builds on out-of-range indices.
     pub fn bit(&self, family: Family, d: usize, block_row: usize, block_col: usize) -> bool {
-        let (w, mask) = self.index(d, block_row, block_col);
+        let (w, mask) = self.index(family, d, block_row, block_col);
         self.family(family)[w] & mask != 0
     }
 
@@ -115,12 +127,8 @@ impl CheckMemory {
         block_col: usize,
         value: bool,
     ) {
-        let (w, mask) = self.index(d, block_row, block_col);
-        let word = &mut self.family_mut(family)[w];
-        if value {
-            *word |= mask;
-        } else {
-            *word &= !mask;
+        if self.bit(family, d, block_row, block_col) != value {
+            self.inject_fault(family, d, block_row, block_col);
         }
     }
 
@@ -135,15 +143,14 @@ impl CheckMemory {
         delta: bool,
     ) {
         if delta {
-            let (w, mask) = self.index(d, block_row, block_col);
-            self.family_mut(family)[w] ^= mask;
+            self.inject_fault(family, d, block_row, block_col);
         }
     }
 
     /// Flips a check-bit unconditionally — the soft-error primitive for
     /// faults striking the CMEM itself.
     pub fn inject_fault(&mut self, family: Family, d: usize, block_row: usize, block_col: usize) {
-        let (w, mask) = self.index(d, block_row, block_col);
+        let (w, mask) = self.index(family, d, block_row, block_col);
         self.family_mut(family)[w] ^= mask;
     }
 
@@ -158,13 +165,19 @@ impl CheckMemory {
         block_row: usize,
         block_col: usize,
     ) {
-        let (lw, lmask) = self.index(lead_d, block_row, block_col);
-        let (cw, cmask) = self.index(counter_d, block_row, block_col);
-        self.leading[lw] ^= lmask;
-        self.counter[cw] ^= cmask;
+        self.inject_fault(Family::Leading, lead_d, block_row, block_col);
+        self.inject_fault(Family::Counter, counter_d, block_row, block_col);
     }
 
-    /// XORs packed diagonal deltas into one block's check words — the Θ(1)
+    /// Start bit of block column `block_col`'s field within a check row,
+    /// after checking that a field fits a word.
+    #[inline]
+    fn field_start(&self, block_col: usize) -> usize {
+        assert!(self.geom.m() <= 64, "packed block words require m <= 64");
+        block_col * self.geom.m()
+    }
+
+    /// XORs packed diagonal deltas into one block's check-bits — the Θ(1)
     /// form of the critical-operation update for a whole parallel write:
     /// every diagonal a MAGIC operation touched in the block flips in one
     /// operation per family (bit `d` of each delta word is diagonal `d`).
@@ -180,10 +193,10 @@ impl CheckMemory {
         lead_delta: u64,
         counter_delta: u64,
     ) {
-        assert!(self.wpf == 1, "packed block update requires m <= 64");
-        let blk = block_row * self.geom.blocks_per_side() + block_col;
-        self.leading[blk] ^= lead_delta;
-        self.counter[blk] ^= counter_delta;
+        let (m, start) = (self.geom.m(), self.field_start(block_col));
+        let (lead, q) = self.rows_mut(block_row..block_row + 1);
+        xor_field(lead, start, m, lead_delta & (u64::MAX >> (64 - m)));
+        xor_field(q, start, m, rev_field(counter_delta, m));
     }
 
     /// All m check-bits of one family for one block, indexed by diagonal.
@@ -195,34 +208,23 @@ impl CheckMemory {
 
     /// All m check-bits of one family for one block, packed into a word
     /// (bit `d` is diagonal `d`) — the word-diff form of
-    /// [`CheckMemory::block_checks`], a single load.
+    /// [`CheckMemory::block_checks`].
     ///
     /// # Panics
     ///
     /// Panics if `m > 64`.
     pub fn block_checks_word(&self, family: Family, block_row: usize, block_col: usize) -> u64 {
-        assert!(self.wpf == 1, "packed check-bits require m <= 64");
-        let blk = block_row * self.geom.blocks_per_side() + block_col;
-        self.family(family)[blk]
-    }
-
-    /// One family's packed check words for a whole block row (entry `bc`
-    /// is the word of block `(block_row, bc)`) — lets a row sweep compare
-    /// syndromes against a contiguous slice instead of one indexed load
-    /// per block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m > 64`.
-    pub(crate) fn family_row(&self, family: Family, block_row: usize) -> &[u64] {
-        assert!(self.wpf == 1, "packed check-bits require m <= 64");
-        let bps = self.geom.blocks_per_side();
-        &self.family(family)[block_row * bps..(block_row + 1) * bps]
+        let (m, start) = (self.geom.m(), self.field_start(block_col));
+        let (lead, q) = self.rows(block_row);
+        match family {
+            Family::Leading => read_field(lead, start, m),
+            Family::Counter => rev_field(read_field(q, start, m), m),
+        }
     }
 
     /// Overwrites the check-bits of one block from packed parity words
     /// (bit `d` of each word is diagonal `d`) — the word-diff form of
-    /// [`CheckMemory::store_block_checks`], a single store.
+    /// [`CheckMemory::store_block_checks`].
     ///
     /// # Panics
     ///
@@ -234,10 +236,9 @@ impl CheckMemory {
         lead: u64,
         counter: u64,
     ) {
-        assert!(self.wpf == 1, "packed check-bits require m <= 64");
-        let blk = block_row * self.geom.blocks_per_side() + block_col;
-        self.leading[blk] = lead;
-        self.counter[blk] = counter;
+        let lead_delta = lead ^ self.block_checks_word(Family::Leading, block_row, block_col);
+        let counter_delta = counter ^ self.block_checks_word(Family::Counter, block_row, block_col);
+        self.xor_block_words(block_row, block_col, lead_delta, counter_delta);
     }
 
     /// Overwrites the check-bits of one block from parity vectors.
@@ -261,12 +262,59 @@ impl CheckMemory {
         }
     }
 
+    /// The leading and (reversed-field) counter check rows of one block
+    /// row, `stride` words each.
+    pub(crate) fn rows(&self, block_row: usize) -> (&[u64], &[u64]) {
+        let row = block_row * self.stride..(block_row + 1) * self.stride;
+        (&self.leading[row.clone()], &self.counter[row])
+    }
+
+    /// Mutable check rows of the block rows `block_rows`, concatenated:
+    /// lets a row-team worker own the rows of its block-row chunk.
+    pub(crate) fn rows_mut(
+        &mut self,
+        block_rows: std::ops::Range<usize>,
+    ) -> (&mut [u64], &mut [u64]) {
+        let words = block_rows.start * self.stride..block_rows.end * self.stride;
+        (&mut self.leading[words.clone()], &mut self.counter[words])
+    }
+
     /// Total memristor count of the check-bit crossbars (Table II:
     /// `2·m·(n/m)²`).
     pub fn memristor_count(&self) -> u64 {
         let b = self.geom.blocks_per_side() as u64;
         2 * self.geom.m() as u64 * b * b
     }
+}
+
+/// Reads the `m`-bit field (`m <= 64`) starting at bit `start` of a packed
+/// row.
+#[inline]
+pub(crate) fn read_field(row: &[u64], start: usize, m: usize) -> u64 {
+    let (w, sh) = (start / 64, start % 64);
+    let mut v = row[w] >> sh;
+    if sh + m > 64 {
+        v |= row[w + 1] << (64 - sh);
+    }
+    v & (u64::MAX >> (64 - m))
+}
+
+/// XORs an `m`-bit value (`m <= 64`) into the field starting at bit
+/// `start` of a packed row.
+#[inline]
+fn xor_field(row: &mut [u64], start: usize, m: usize, v: u64) {
+    let (w, sh) = (start / 64, start % 64);
+    row[w] ^= v << sh;
+    if sh + m > 64 {
+        row[w + 1] ^= v >> (64 - sh);
+    }
+}
+
+/// Reverses the low `m` bits (`1 <= m <= 64`): maps a counter field
+/// between diagonal order and its stored order.
+#[inline]
+pub(crate) fn rev_field(w: u64, m: usize) -> u64 {
+    w.reverse_bits() >> (64 - m)
 }
 
 /// A processing crossbar: the 11-cell-deep MAGIC array that evaluates

@@ -23,17 +23,18 @@
 //! The hot path is *word-diff*: before a parallel operation the touched
 //! line words are snapshotted, and afterwards `old XOR new` yields a packed
 //! change mask whose set bits — pre-masked by per-geometry coverage words —
-//! are the only cells whose Leading/Counter check-bits flip, via a
-//! precomputed `(leading, counter)` diagonal-index table built once per
-//! [`BlockGeometry`] and cached process-wide. Block checking, scrubbing and
-//! the consistency oracle run on packed block-row words through
+//! are the only cells whose Leading/Counter check-bits flip. The CMEM is
+//! field-packed like the MEM (see [`CheckMemory`]), so a changed row
+//! updates its block row's two check rows with two whole-row field
+//! rotations, and a block-row check compares whole check rows. Per-block
+//! checks and the consistency oracle run on packed block words through
 //! [`DiagonalCode::encode_words`]. The original cell-at-a-time loops are
 //! retained under [`SimEngine::ScalarReference`]
 //! (see [`ProtectedMemory::set_engine`]) as the differential baseline; both
 //! engines produce bit-identical state, [`MachineStats`] and
 //! [`CheckReport`]s — only host wall-time differs.
 
-use crate::cmem::CheckMemory;
+use crate::cmem::{read_field, rev_field, CheckMemory};
 use crate::code::{DiagonalCode, ErrorLocation};
 use crate::error::CoreError;
 use crate::geometry::BlockGeometry;
@@ -43,8 +44,6 @@ use pimecc_xbar::{
     transpose64, BitGrid, Crossbar, FusedColsPlan, FusedRowsPlan, LineMask, LineSet, ParallelStep,
     SimEngine, XbarError, MAX_FUSED_STRIDE,
 };
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cycle/event accounting for the protected memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -126,6 +125,17 @@ pub struct CheckReport {
     pub uncorrectable: usize,
 }
 
+impl CheckReport {
+    /// Counts one block verdict.
+    fn record(&mut self, loc: ErrorLocation) {
+        match loc {
+            ErrorLocation::None => {}
+            ErrorLocation::Uncorrectable => self.uncorrectable += 1,
+            _ => self.corrected += 1,
+        }
+    }
+}
+
 impl std::ops::AddAssign for CheckReport {
     /// Folds another pass's counts into this report.
     fn add_assign(&mut self, other: CheckReport) {
@@ -135,45 +145,153 @@ impl std::ops::AddAssign for CheckReport {
     }
 }
 
-/// Precomputed diagonal indices for one [`BlockGeometry`]: entry
-/// `[local_row * n + col]` is the Leading (resp. Counter) diagonal of any
-/// cell whose row is `local_row` modulo `m` and whose global column is
-/// `col`. Replaces the per-cell `block_of`/`local_of`/`leading`/`counter`
-/// modular arithmetic on the word-diff hot path.
-#[derive(Debug)]
-struct DiagTables {
-    lead: Vec<u16>,
-    counter: Vec<u16>,
+/// The simulator's barrel shifters (Fig. 5) for one [`BlockGeometry`]:
+/// rotate every m-bit block field of a packed MEM row at once, which is how
+/// a changed row reaches its diagonals in the CMEM. Row `rot` of `hi`
+/// (`stride` words) selects the field bits a left shift by `rot` keeps
+/// inside their field, row `rot` of `lo` the bits wrapped round from the
+/// field's top; neither selects bits past `n`. Both are empty when
+/// `m > 63`, where deltas are applied cell by cell.
+#[derive(Debug, Clone)]
+struct FieldShifter {
+    geom: BlockGeometry,
+    stride: usize,
+    hi: Vec<u64>,
+    lo: Vec<u64>,
 }
 
-impl DiagTables {
-    fn build(geom: &BlockGeometry) -> DiagTables {
+impl FieldShifter {
+    fn new(geom: BlockGeometry) -> FieldShifter {
         let (n, m) = (geom.n(), geom.m());
-        assert!(m <= u16::MAX as usize, "diagonal index exceeds table width");
-        let mut lead = vec![0u16; m * n];
-        let mut counter = vec![0u16; m * n];
-        for lr in 0..m {
-            for c in 0..n {
-                lead[lr * n + c] = geom.leading(lr, c % m) as u16;
-                counter[lr * n + c] = geom.counter(lr, c % m) as u16;
+        let stride = n.div_ceil(64);
+        let (mut hi, mut lo) = (Vec::new(), Vec::new());
+        if m <= 63 {
+            hi.resize(m * stride, 0);
+            lo.resize(m * stride, 0);
+            for rot in 0..m {
+                for p in 0..n {
+                    let masks = if p % m >= rot { &mut hi } else { &mut lo };
+                    masks[rot * stride + p / 64] |= 1u64 << (p % 64);
+                }
             }
         }
-        DiagTables { lead, counter }
+        FieldShifter {
+            geom,
+            stride,
+            hi,
+            lo,
+        }
     }
 
-    /// The table for `geom`, built once per distinct `(n, m)` and shared
-    /// process-wide — every shard of a cluster references one copy.
-    fn cached(geom: &BlockGeometry) -> Arc<DiagTables> {
-        type Cache = Mutex<HashMap<(usize, usize), Arc<DiagTables>>>;
-        static CACHE: OnceLock<Cache> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Arc::clone(
-            map.entry((geom.n(), geom.m()))
-                .or_insert_with(|| Arc::new(DiagTables::build(geom))),
-        )
+    /// XORs the check-bit delta of one changed row of block-local index
+    /// `lr` into its block row's check rows: `lead`, and `q` in the CMEM's
+    /// reversed counter form. `changed_at(wi)` yields packed change word
+    /// `wi` and is called once per word. The cell at field bit `c` lies on
+    /// leading diagonal `(lr + c) mod m`, and on counter diagonal
+    /// `d = (lr - c) mod m`, stored at field bit `m - 1 - d =
+    /// (c + m - 1 - lr) mod m`; so every field of the change row, rotated
+    /// left by `lr`, is the leading delta, and rotated left by `m - 1 - lr`,
+    /// the stored counter delta — the per-row term of
+    /// [`DiagonalCode::encode_words`]. Requires `m <= 63`.
+    #[inline]
+    fn rotate_into(
+        &self,
+        lead: &mut [u64],
+        q: &mut [u64],
+        lr: usize,
+        mut changed_at: impl FnMut(usize) -> u64,
+    ) {
+        let (m, stride) = (self.geom.m(), self.stride);
+        let rot_q = m - 1 - lr;
+        let masks = |rot: usize| {
+            let at = rot * stride..(rot + 1) * stride;
+            (&self.hi[at.clone()], &self.lo[at])
+        };
+        let ((lead_hi, lead_lo), (q_hi, q_lo)) = (masks(lr), masks(rot_q));
+        let (mut prev, mut cur) = (0u64, changed_at(0));
+        for w in 0..stride {
+            let next = if w + 1 < stride { changed_at(w + 1) } else { 0 };
+            if prev | cur | next != 0 {
+                lead[w] ^= field_rotl(prev, cur, next, lr, m, lead_hi[w], lead_lo[w]);
+                q[w] ^= field_rotl(prev, cur, next, rot_q, m, q_hi[w], q_lo[w]);
+            }
+            (prev, cur) = (cur, next);
+        }
+    }
+
+    /// XORs the check-bit delta of changed MEM row `r` straight into its
+    /// block row's two check rows — the path every row-major ECC update
+    /// takes. `changed_at(wi)` yields the row's packed change word `wi`,
+    /// already masked to covered cells.
+    fn xor_row_delta(
+        &self,
+        cmem: &mut CheckMemory,
+        r: usize,
+        changed_at: impl FnMut(usize) -> u64,
+    ) {
+        let m = self.geom.m();
+        if m <= 63 {
+            let (lead, q) = cmem.rows_mut(r / m..r / m + 1);
+            self.rotate_into(lead, q, r % m, changed_at);
+        } else {
+            self.flip_cells(cmem, changed_at, |c| (r, c));
+        }
+    }
+
+    /// Column transpose of [`FieldShifter::xor_row_delta`]: the changed
+    /// cells of column `col`, packed one bit per row. Each block row's
+    /// segment is one block's delta; indexed by local row, it maps to
+    /// leading diagonals by a rotation of the column's local index and to
+    /// counter diagonals by the opposite rotation.
+    fn xor_col_delta(
+        &self,
+        cmem: &mut CheckMemory,
+        col: usize,
+        mut changed_at: impl FnMut(usize) -> u64,
+    ) {
+        let m = self.geom.m();
+        if m > 63 {
+            self.flip_cells(cmem, changed_at, |r| (r, col));
+            return;
+        }
+        let (lc, bc) = (col % m, col / m);
+        let (mut w0, mut cur, mut next) = (usize::MAX, 0u64, 0u64);
+        for br in 0..self.geom.blocks_per_side() {
+            let (w, sh) = (br * m / 64, br * m % 64);
+            if w != w0 {
+                w0 = w;
+                cur = changed_at(w);
+                next = if w + 1 < self.stride {
+                    changed_at(w + 1)
+                } else {
+                    0
+                };
+            }
+            let seg = read_field(&[cur, next], sh, m);
+            if seg != 0 {
+                cmem.xor_block_words(br, bc, rotl_m(seg, lc, m), rotl_m(seg, (m - lc) % m, m));
+            }
+        }
+    }
+
+    /// Cell-by-cell form of the deltas for `m > 63`, where a field
+    /// outgrows a word: bit `x` of the change words is cell `cell(x)`.
+    fn flip_cells(
+        &self,
+        cmem: &mut CheckMemory,
+        mut changed_at: impl FnMut(usize) -> u64,
+        cell: impl Fn(usize) -> (usize, usize),
+    ) {
+        for wi in 0..self.stride {
+            let mut changed = changed_at(wi);
+            while changed != 0 {
+                let (r, c) = cell(wi * 64 + changed.trailing_zeros() as usize);
+                changed &= changed - 1;
+                let ((lead, counter), (br, bc)) =
+                    (self.geom.diagonals(r, c), self.geom.block_of(r, c));
+                cmem.flip_pair(lead, counter, br, bc);
+            }
+        }
     }
 }
 
@@ -244,17 +362,14 @@ pub struct ProtectedMemory {
     check_on_critical: bool,
     stats: MachineStats,
     engine: SimEngine,
-    /// Shared diagonal-index table (see [`DiagTables`]).
-    tables: Arc<DiagTables>,
+    /// Field rotations from MEM rows to CMEM rows (see [`FieldShifter`]).
+    shifter: FieldShifter,
     /// Per block-row: packed mask of the columns lying in covered blocks,
     /// flattened `[block_row * stride + word]`.
     covered_row_masks: Vec<u64>,
     /// Per block-column: packed mask of the rows lying in covered blocks,
     /// flattened `[block_col * stride + word]`.
     covered_col_masks: Vec<u64>,
-    /// `0..blocks_per_side` — the full block-index list handed to the
-    /// rotate-XOR helpers when a whole line was touched.
-    all_blocks: Vec<usize>,
     /// True while every block is covered (the default policy) — lets the
     /// hot paths skip coverage-mask loads entirely.
     fully_covered: bool,
@@ -263,17 +378,12 @@ pub struct ProtectedMemory {
     // nothing).
     mask_buf: LineMask,
     colmask_buf: Vec<u64>,
-    widx_buf: Vec<usize>,
-    line_buf: Vec<usize>,
     old_buf: Vec<u64>,
     new_buf: Vec<u64>,
     blockrow_buf: Vec<u64>,
+    /// Block rows of a pre-write check rectangle (see
+    /// [`ProtectedMemory::precheck_rect`]).
     blkrow_buf: Vec<usize>,
-    blkcol_buf: Vec<usize>,
-    /// Per-(block-row, block-column) ECC accumulators for the fused
-    /// executors and batched loads — `(leading, pre-reversal counter)`
-    /// pairs, flat.
-    eccacc_buf: Vec<(u64, u64)>,
     /// Transpose-staging value/mask planes for batched column loads,
     /// row-major `[row * stride + word]`; only touched rows are dirtied
     /// and re-cleared.
@@ -281,16 +391,8 @@ pub struct ProtectedMemory {
     stage_msk: Vec<u64>,
     /// Packed mask of the rows the staging planes currently hold.
     stage_rows: Vec<u64>,
-    /// Sorted-line scratch for batched row loads.
-    sorted_buf: Vec<usize>,
-    /// Per-rotation field masks of the SWAR check sweep, `m * stride`
-    /// words each: `rot_hi[rot]` selects the bits a left-shift by `rot`
-    /// keeps inside its m-bit field, `rot_lo[rot]` the bits wrapped in
-    /// from the right. Built lazily per geometry.
-    rot_hi: Vec<u64>,
-    rot_lo: Vec<u64>,
-    /// Whole-row parity accumulators of the SWAR check sweep (`stride`
-    /// words each: every block column's m-bit field side by side).
+    /// Whole-row parity accumulators of the block-row sweep, laid out
+    /// like one block row of the CMEM (`stride` words per family).
     acc_lead: Vec<u64>,
     acc_q: Vec<u64>,
 }
@@ -304,7 +406,6 @@ impl ProtectedMemory {
     /// Currently infallible for a valid [`BlockGeometry`]; the `Result`
     /// reserves room for configuration validation.
     pub fn new(geom: BlockGeometry) -> Result<Self> {
-        let tables = DiagTables::cached(&geom);
         let mut pm = ProtectedMemory {
             geom,
             code: DiagonalCode::new(geom),
@@ -316,27 +417,19 @@ impl ProtectedMemory {
             check_on_critical: false,
             stats: MachineStats::default(),
             engine: SimEngine::default(),
-            tables,
+            shifter: FieldShifter::new(geom),
             covered_row_masks: Vec::new(),
             covered_col_masks: Vec::new(),
-            all_blocks: (0..geom.blocks_per_side()).collect(),
             fully_covered: true,
             mask_buf: LineMask::new(geom.n()),
             colmask_buf: Vec::new(),
-            widx_buf: Vec::new(),
-            line_buf: Vec::new(),
             old_buf: Vec::new(),
             new_buf: Vec::new(),
             blockrow_buf: Vec::new(),
             blkrow_buf: Vec::new(),
-            blkcol_buf: Vec::new(),
-            eccacc_buf: Vec::new(),
             stage_val: Vec::new(),
             stage_msk: Vec::new(),
             stage_rows: Vec::new(),
-            sorted_buf: Vec::new(),
-            rot_hi: Vec::new(),
-            rot_lo: Vec::new(),
             acc_lead: Vec::new(),
             acc_q: Vec::new(),
         };
@@ -419,72 +512,30 @@ impl ProtectedMemory {
         Ok(())
     }
 
-    /// ECC-checks the covered blocks of the rectangle
-    /// `blkrow_buf × blkcol_buf` (both pre-sorted ascending) — the
-    /// word-path pre-write pass. Parallel operations always touch
-    /// rectangles of cells, so the block set is exactly this cross
-    /// product, visited in the same `(block_row, block_col)` order as the
-    /// scalar reference.
-    fn precheck_rect(&mut self) -> Result<()> {
+    /// ECC-checks the covered blocks of the rectangle `blkrow_buf` (sorted
+    /// ascending) × `block_col`, or × the block columns of `colmask_buf`'s
+    /// set bits when `block_col` is `None` — the word-path pre-write pass.
+    /// Parallel operations always touch rectangles of cells, so the block
+    /// set is exactly this cross product, visited in the same
+    /// `(block_row, block_col)` order as the scalar reference.
+    fn precheck_rect(&mut self, block_col: Option<usize>) -> Result<()> {
+        let m = self.geom.m();
+        // The first block column whose cells start at or after `from`.
+        let next_bc = |colmask: &[u64], from: usize| match block_col {
+            Some(bc) => (from <= bc * m).then_some(bc),
+            None => next_set_bit(colmask, from).map(|c| c / m),
+        };
         for i in 0..self.blkrow_buf.len() {
             let br = self.blkrow_buf[i];
-            for j in 0..self.blkcol_buf.len() {
-                let bc = self.blkcol_buf[j];
+            let mut from = 0;
+            while let Some(bc) = next_bc(&self.colmask_buf, from) {
                 if self.covered[self.block_index(br, bc)] {
                     self.check_block(br, bc)?;
                 }
+                from = (bc + 1) * m;
             }
         }
         Ok(())
-    }
-
-    /// Fills `blkrow_buf` with the distinct block-rows of the selected
-    /// lines in `line_buf` (which need not be sorted).
-    fn fill_block_rows_from_lines(&mut self) {
-        let m = self.geom.m();
-        self.blkrow_buf.clear();
-        self.blkrow_buf.extend(self.line_buf.iter().map(|&r| r / m));
-        self.blkrow_buf.sort_unstable();
-        self.blkrow_buf.dedup();
-    }
-
-    /// Fills `blkcol_buf` with every block-column overlapping a non-zero
-    /// word of `colmask_buf` (ascending). A superset of the exact touched
-    /// set at word granularity — harmless for the diff sweeps, which skip
-    /// empty segments, and much cheaper than walking every set bit.
-    fn fill_block_cols_approx(&mut self) {
-        let m = self.geom.m();
-        let bps = self.geom.blocks_per_side();
-        self.blkcol_buf.clear();
-        for k in 0..self.widx_buf.len() {
-            let wi = self.widx_buf[k];
-            let first = (wi * 64) / m;
-            let last = ((wi * 64 + 63) / m).min(bps - 1);
-            let next = self.blkcol_buf.last().map_or(0, |&b| b + 1);
-            for bc in first.max(next)..=last {
-                self.blkcol_buf.push(bc);
-            }
-        }
-    }
-
-    /// Fills `blkcol_buf` with the distinct block-columns of the set bits
-    /// of `colmask_buf` (ascending by construction) — the exact form the
-    /// pre-write check pass requires.
-    fn fill_block_cols_from_colmask(&mut self) {
-        let m = self.geom.m();
-        self.blkcol_buf.clear();
-        for k in 0..self.widx_buf.len() {
-            let wi = self.widx_buf[k];
-            let mut w = self.colmask_buf[wi];
-            while w != 0 {
-                let c = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let bc = c / m;
-                if self.blkcol_buf.last() != Some(&bc) {
-                    self.blkcol_buf.push(bc);
-                }
-            }
-        }
     }
 
     /// The geometry in force.
@@ -677,75 +728,6 @@ impl ProtectedMemory {
         }
     }
 
-    /// Word-diff ECC update for one touched row: XORs the snapshotted old
-    /// words (`old_buf[old_base..]`, one per touched word index in
-    /// `widx_buf`) against the row's current words, masks to the touched
-    /// (`colmask_buf`) and covered columns, and flips the check-bits of the
-    /// surviving change bits — one rotated XOR per touched block
-    /// (`blkcol_buf`) when `m` fits a word. Returns whether any touched
-    /// cell of the row was covered.
-    fn apply_row_diff(&mut self, r: usize, old_base: usize) -> bool {
-        let stride = self.stride();
-        let m = self.geom.m();
-        let ProtectedMemory {
-            ref mem,
-            ref mut cmem,
-            ref tables,
-            ref covered_row_masks,
-            ref colmask_buf,
-            ref widx_buf,
-            ref blkcol_buf,
-            ref old_buf,
-            geom,
-            ..
-        } = *self;
-        let cov_base = (r / m) * stride;
-        let mut any_covered = false;
-        for &wi in widx_buf.iter() {
-            if colmask_buf[wi] & covered_row_masks[cov_base + wi] != 0 {
-                any_covered = true;
-                break;
-            }
-        }
-        if !any_covered {
-            return false;
-        }
-        let row = mem.grid().row_words(r);
-        if m <= 63 {
-            xor_row_major_changes(cmem, r, blkcol_buf, m, stride, |wi| {
-                let touched = colmask_buf[wi] & covered_row_masks[cov_base + wi];
-                if touched == 0 {
-                    return 0;
-                }
-                let k = widx_buf
-                    .iter()
-                    .position(|&x| x == wi)
-                    .expect("touched word is registered");
-                (row[wi] ^ old_buf[old_base + k]) & touched
-            });
-        } else {
-            let lr_base = (r % m) * geom.n();
-            for (k, &wi) in widx_buf.iter().enumerate() {
-                let touched = colmask_buf[wi] & covered_row_masks[cov_base + wi];
-                if touched == 0 {
-                    continue;
-                }
-                let mut changed = (row[wi] ^ old_buf[old_base + k]) & touched;
-                while changed != 0 {
-                    let c = wi * 64 + changed.trailing_zeros() as usize;
-                    changed &= changed - 1;
-                    cmem.flip_pair(
-                        tables.lead[lr_base + c] as usize,
-                        tables.counter[lr_base + c] as usize,
-                        r / m,
-                        c / m,
-                    );
-                }
-            }
-        }
-        any_covered
-    }
-
     /// Bounds-validates a row selection and loads it into `mask_buf`,
     /// erroring with the crossbar's own error value.
     fn select_row_mask(&mut self, sel: &LineSet) -> Result<()> {
@@ -763,25 +745,18 @@ impl ProtectedMemory {
         Ok(())
     }
 
-    /// Fills `blkrow_buf` with the distinct block-rows of the lines
-    /// selected in `mask_buf` (ascending).
-    fn fill_block_rows_from_mask(&mut self) {
-        let m = self.geom.m();
-        self.blkrow_buf.clear();
-        for (wi, &mw) in self.mask_buf.words().iter().enumerate() {
-            let mut w = mw;
-            while w != 0 {
-                let r = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let br = r / m;
-                if self.blkrow_buf.last() != Some(&br) {
-                    self.blkrow_buf.push(br);
-                }
-            }
+    /// Fills `blkrow_buf` with the distinct block-rows of the lines set in
+    /// `mask` (ascending).
+    fn fill_block_rows_from_words(blkrow_buf: &mut Vec<usize>, mask: &[u64], m: usize) {
+        blkrow_buf.clear();
+        let mut from = 0;
+        while let Some(r) = next_set_bit(mask, from) {
+            blkrow_buf.push(r / m);
+            from = (r / m + 1) * m;
         }
     }
 
-    /// Builds `colmask_buf`/`widx_buf` from an explicit column list.
+    /// Builds `colmask_buf` from an explicit column list.
     fn colmask_from_cols(&mut self, cols: &[usize]) -> Result<()> {
         let n = self.geom.n();
         self.colmask_buf.clear();
@@ -792,11 +767,10 @@ impl ProtectedMemory {
             }
             self.colmask_buf[c / 64] |= 1u64 << (c % 64);
         }
-        self.refresh_widx();
         Ok(())
     }
 
-    /// Builds `colmask_buf`/`widx_buf` from a column selection.
+    /// Builds `colmask_buf` from a column selection.
     fn colmask_from_sel(&mut self, cols: &LineSet) -> Result<()> {
         let n = self.geom.n();
         if let Some(max) = cols.max_index(n) {
@@ -811,52 +785,6 @@ impl ProtectedMemory {
         cols.fill_mask(n, &mut self.mask_buf);
         self.colmask_buf.clear();
         self.colmask_buf.extend_from_slice(self.mask_buf.words());
-        self.refresh_widx();
-        Ok(())
-    }
-
-    fn refresh_widx(&mut self) {
-        self.widx_buf.clear();
-        for wi in 0..self.colmask_buf.len() {
-            if self.colmask_buf[wi] != 0 {
-                self.widx_buf.push(wi);
-            }
-        }
-    }
-
-    /// Snapshots the touched words of row `r` (per `widx_buf`) onto
-    /// `old_buf`.
-    fn snapshot_row(&mut self, r: usize) {
-        for k in 0..self.widx_buf.len() {
-            let wi = self.widx_buf[k];
-            self.old_buf.push(self.mem.grid().row_words(r)[wi]);
-        }
-    }
-
-    /// Shared tail of the row-writing word paths: snapshot the touched
-    /// rows in `line_buf`, run `op`, then word-diff every touched row and
-    /// bill the critical protocol if any touched cell was covered.
-    fn run_row_touching_op(
-        &mut self,
-        op: impl FnOnce(&mut Crossbar) -> std::result::Result<(), XbarError>,
-    ) -> Result<()> {
-        self.fill_block_cols_approx();
-        self.old_buf.clear();
-        for i in 0..self.line_buf.len() {
-            let r = self.line_buf[i];
-            self.snapshot_row(r);
-        }
-        op(&mut self.mem)?;
-        self.stats.mem_cycles += 1;
-        let per_row = self.widx_buf.len();
-        let mut any_covered = false;
-        for i in 0..self.line_buf.len() {
-            let r = self.line_buf[i];
-            any_covered |= self.apply_row_diff(r, i * per_row);
-        }
-        if any_covered {
-            self.bill_critical();
-        }
         Ok(())
     }
 
@@ -971,7 +899,7 @@ impl ProtectedMemory {
         // Word path: pack the cells into touched/value words — a later
         // duplicate overwrites its value bit, so "last value wins" falls
         // out of the packing and no quadratic dedup is needed.
-        let stride = self.stride();
+        let (m, stride) = (self.geom.m(), self.stride());
         self.colmask_buf.clear();
         self.colmask_buf.resize(stride, 0);
         self.new_buf.clear();
@@ -985,134 +913,72 @@ impl ProtectedMemory {
                 self.new_buf[wi] &= !bit;
             }
         }
-        self.refresh_widx();
-        let m = self.geom.m();
         if self.check_on_critical {
-            self.fill_block_cols_from_colmask();
             self.blkrow_buf.clear();
-            self.blkrow_buf.push(line / m);
-            if matches!(axis, LineAxis::Col) {
-                // The packed mask ranges over rows: what it yields are
-                // block-rows, and the line's block is a block-column.
-                std::mem::swap(&mut self.blkrow_buf, &mut self.blkcol_buf);
+            match axis {
+                LineAxis::Row => {
+                    self.blkrow_buf.push(line / m);
+                    self.precheck_rect(None)?;
+                }
+                LineAxis::Col => {
+                    // The packed mask ranges over rows: what it yields are
+                    // block-rows, and the line's block is a block-column.
+                    Self::fill_block_rows_from_words(&mut self.blkrow_buf, &self.colmask_buf, m);
+                    self.precheck_rect(Some(line / m))?;
+                }
             }
-            self.precheck_rect()?;
         }
-        // Snapshot the touched words, store through the masked zero-cycle
-        // write, then flip check-bits for the changed covered cells.
+        // Snapshot the line (packed in line order), store through the
+        // masked zero-cycle write, then flip check-bits for the changed
+        // covered cells.
         self.old_buf.clear();
         match axis {
             LineAxis::Row => {
-                for k in 0..self.widx_buf.len() {
-                    let wi = self.widx_buf[k];
-                    self.old_buf.push(self.mem.grid().row_words(line)[wi]);
-                }
+                self.old_buf
+                    .extend_from_slice(self.mem.grid().row_words(line));
                 self.mem
                     .write_row_words_masked(line, &self.new_buf, &self.colmask_buf);
             }
             LineAxis::Col => {
                 // Sparse snapshot: only the touched rows' old bits, packed
                 // in gather layout (no O(n) column sweep).
-                self.old_buf.clear();
                 self.old_buf.resize(stride, 0);
-                for k in 0..self.widx_buf.len() {
-                    let wi = self.widx_buf[k];
+                for wi in 0..stride {
                     let mut w = self.colmask_buf[wi];
-                    let mut packed = 0u64;
                     while w != 0 {
                         let bit = w.trailing_zeros() as usize;
                         w &= w - 1;
-                        packed |= (self.mem.grid().get(wi * 64 + bit, line) as u64) << bit;
+                        let old = self.mem.grid().get(wi * 64 + bit, line) as u64;
+                        self.old_buf[wi] |= old << bit;
                     }
-                    self.old_buf[wi] = packed;
                 }
                 self.mem
                     .write_col_words_masked(line, &self.new_buf, &self.colmask_buf);
             }
         }
         self.stats.mem_cycles += 1;
-        if matches!(axis, LineAxis::Row) {
-            // Line loads are sparse relative to the line; the exact block
-            // walk keeps the rotate sweep to the truly touched blocks.
-            self.fill_block_cols_from_colmask();
-        }
-        let cov_base = (line / m) * stride;
-        let mut any_covered = false;
-        for k in 0..self.widx_buf.len() {
-            let wi = self.widx_buf[k];
-            let covered = match axis {
-                LineAxis::Row => self.covered_row_masks[cov_base + wi],
-                LineAxis::Col => self.covered_col_masks[cov_base + wi],
-            };
-            if self.colmask_buf[wi] & covered != 0 {
-                any_covered = true;
-                break;
-            }
-        }
-        if !any_covered {
-            return Ok(());
-        }
-        let n = self.geom.n();
         let ProtectedMemory {
             ref mut cmem,
-            ref tables,
+            ref shifter,
             ref covered_row_masks,
             ref covered_col_masks,
             ref colmask_buf,
-            ref widx_buf,
-            ref blkcol_buf,
             ref old_buf,
             ref new_buf,
             ..
         } = *self;
+        let covered = match axis {
+            LineAxis::Row => covered_row_masks,
+            LineAxis::Col => covered_col_masks,
+        };
+        let cov = &covered[(line / m) * stride..(line / m + 1) * stride];
+        if (0..stride).all(|wi| colmask_buf[wi] & cov[wi] == 0) {
+            return Ok(());
+        }
+        let changed = |wi: usize| (old_buf[wi] ^ new_buf[wi]) & colmask_buf[wi] & cov[wi];
         match axis {
-            LineAxis::Row if m <= 63 => {
-                xor_row_major_changes(cmem, line, blkcol_buf, m, stride, |wi| {
-                    let touched = colmask_buf[wi] & covered_row_masks[cov_base + wi];
-                    if touched == 0 {
-                        return 0;
-                    }
-                    let k = widx_buf
-                        .iter()
-                        .position(|&x| x == wi)
-                        .expect("touched word is registered");
-                    (old_buf[k] ^ new_buf[wi]) & touched
-                });
-            }
-            LineAxis::Col if m <= 63 => {
-                xor_col_major_changes(cmem, line, n / m, m, stride, |wi| {
-                    (old_buf[wi] ^ new_buf[wi]) & colmask_buf[wi] & covered_col_masks[cov_base + wi]
-                });
-            }
-            _ => {
-                for (k, &wi) in widx_buf.iter().enumerate() {
-                    let covered = match axis {
-                        LineAxis::Row => covered_row_masks[cov_base + wi],
-                        LineAxis::Col => covered_col_masks[cov_base + wi],
-                    };
-                    let touched = colmask_buf[wi] & covered;
-                    if touched == 0 {
-                        continue;
-                    }
-                    let old = match axis {
-                        LineAxis::Row => old_buf[k],
-                        LineAxis::Col => old_buf[wi],
-                    };
-                    let mut changed = (old ^ new_buf[wi]) & touched;
-                    while changed != 0 {
-                        let x = wi * 64 + changed.trailing_zeros() as usize;
-                        changed &= changed - 1;
-                        let (r, c) = axis.cell(line, x);
-                        let idx = (r % m) * n + c;
-                        cmem.flip_pair(
-                            tables.lead[idx] as usize,
-                            tables.counter[idx] as usize,
-                            r / m,
-                            c / m,
-                        );
-                    }
-                }
-            }
+            LineAxis::Row => shifter.xor_row_delta(cmem, line, changed),
+            LineAxis::Col => shifter.xor_col_delta(cmem, line, changed),
         }
         self.bill_critical();
         Ok(())
@@ -1172,10 +1038,9 @@ impl ProtectedMemory {
                 .into());
             }
             self.select_row_mask(rows)?;
-            self.fill_block_rows_from_mask();
-            self.blkcol_buf.clear();
-            self.blkcol_buf.push(out_col / self.geom.m());
-            self.precheck_rect()?;
+            let m = self.geom.m();
+            Self::fill_block_rows_from_words(&mut self.blkrow_buf, self.mask_buf.words(), m);
+            self.precheck_rect(Some(out_col / m))?;
         }
         // The gate reports its own change bits (old XOR new, one per
         // selected row) — no snapshot or re-gather of the output column.
@@ -1185,50 +1050,23 @@ impl ProtectedMemory {
         let stride = self.stride();
         let m = self.geom.m();
         let cov_base = (out_col / m) * stride;
-        let fully = self.fully_covered;
         let ProtectedMemory {
             ref mut cmem,
-            ref tables,
+            ref shifter,
             ref covered_col_masks,
             ref new_buf,
-            ref mut stats,
+            fully_covered,
             ..
         } = *self;
         // Coverage probe: an empty selection touches nothing; otherwise
         // trivially true on the default fully covered device, early-exit
         // scan elsewhere.
+        let cov = &covered_col_masks[cov_base..cov_base + stride];
         let any_covered = !rows.is_empty(n)
-            && (fully
-                || rows
-                    .iter(n)
-                    .any(|r| covered_col_masks[cov_base + r / 64] >> (r % 64) & 1 != 0));
+            && (fully_covered || rows.iter(n).any(|r| cov[r / 64] >> (r % 64) & 1 != 0));
         if any_covered {
-            if m <= 63 && fully {
-                xor_col_major_changes(cmem, out_col, n / m, m, stride, |wi| new_buf[wi]);
-            } else if m <= 63 {
-                xor_col_major_changes(cmem, out_col, n / m, m, stride, |wi| {
-                    new_buf[wi] & covered_col_masks[cov_base + wi]
-                });
-            } else {
-                for wi in 0..stride {
-                    let mut changed = new_buf[wi] & covered_col_masks[cov_base + wi];
-                    while changed != 0 {
-                        let r = wi * 64 + changed.trailing_zeros() as usize;
-                        changed &= changed - 1;
-                        let idx = (r % m) * n + out_col;
-                        cmem.flip_pair(
-                            tables.lead[idx] as usize,
-                            tables.counter[idx] as usize,
-                            r / m,
-                            out_col / m,
-                        );
-                    }
-                }
-            }
-            stats.critical_ops += 1;
-            stats.mem_cycles += 2;
-            stats.transfer_cycles += 2;
-            stats.pc_xor3_ops += 2;
+            shifter.xor_col_delta(cmem, out_col, |wi| new_buf[wi] & cov[wi]);
+            self.bill_critical();
         }
         Ok(())
     }
@@ -1284,11 +1122,9 @@ impl ProtectedMemory {
                 .into());
             }
             self.colmask_from_sel(cols)?;
-            self.line_buf.clear();
-            self.line_buf.push(out_row);
-            self.fill_block_rows_from_lines();
-            self.fill_block_cols_from_colmask();
-            self.precheck_rect()?;
+            self.blkrow_buf.clear();
+            self.blkrow_buf.push(out_row / self.geom.m());
+            self.precheck_rect(None)?;
         }
         // Transpose of the row-parallel path: the gate reports its change
         // bits in row-word layout; no column mask is materialized here.
@@ -1298,48 +1134,20 @@ impl ProtectedMemory {
         let stride = self.stride();
         let m = self.geom.m();
         let cov_base = (out_row / m) * stride;
-        let fully = self.fully_covered;
         let ProtectedMemory {
             ref mut cmem,
-            ref tables,
+            ref shifter,
             ref covered_row_masks,
             ref new_buf,
-            ref all_blocks,
-            ref mut stats,
+            fully_covered,
             ..
         } = *self;
+        let cov = &covered_row_masks[cov_base..cov_base + stride];
         let any_covered = !cols.is_empty(n)
-            && (fully
-                || cols
-                    .iter(n)
-                    .any(|c| covered_row_masks[cov_base + c / 64] >> (c % 64) & 1 != 0));
+            && (fully_covered || cols.iter(n).any(|c| cov[c / 64] >> (c % 64) & 1 != 0));
         if any_covered {
-            if m <= 63 && fully {
-                xor_row_major_changes(cmem, out_row, all_blocks, m, stride, |wi| new_buf[wi]);
-            } else if m <= 63 {
-                xor_row_major_changes(cmem, out_row, all_blocks, m, stride, |wi| {
-                    new_buf[wi] & covered_row_masks[cov_base + wi]
-                });
-            } else {
-                let lr_base = (out_row % m) * n;
-                for wi in 0..stride {
-                    let mut changed = new_buf[wi] & covered_row_masks[cov_base + wi];
-                    while changed != 0 {
-                        let c = wi * 64 + changed.trailing_zeros() as usize;
-                        changed &= changed - 1;
-                        cmem.flip_pair(
-                            tables.lead[lr_base + c] as usize,
-                            tables.counter[lr_base + c] as usize,
-                            out_row / m,
-                            c / m,
-                        );
-                    }
-                }
-            }
-            stats.critical_ops += 1;
-            stats.mem_cycles += 2;
-            stats.transfer_cycles += 2;
-            stats.pc_xor3_ops += 2;
+            shifter.xor_row_delta(cmem, out_row, |wi| new_buf[wi] & cov[wi]);
+            self.bill_critical();
         }
         Ok(())
     }
@@ -1394,9 +1202,12 @@ impl ProtectedMemory {
         }
         if self.check_on_critical {
             self.select_row_mask(rows)?;
-            self.fill_block_rows_from_mask();
-            self.fill_block_cols_from_colmask();
-            self.precheck_rect()?;
+            Self::fill_block_rows_from_words(
+                &mut self.blkrow_buf,
+                self.mask_buf.words(),
+                self.geom.m(),
+            );
+            self.precheck_rect(None)?;
         }
         // An init drives every touched cell to 1, so the change mask is
         // `touched & !current`, computable (and its check-bits flippable)
@@ -1411,170 +1222,30 @@ impl ProtectedMemory {
         Ok(())
     }
 
-    /// The fused word-diff pass of a row-parallel init: for every selected
-    /// row and touched block (`blkcol_buf`), the covered cells currently at
-    /// 0 flip their check-bits — one rotated XOR per (row, block) when `m`
-    /// fits a word. The selection must already be bounds-checked.
+    /// The word-diff pass of a row-parallel init: for every selected row,
+    /// the touched covered cells currently at 0 are the ones that change,
+    /// so their check-bits flip before the write. Returns whether any
+    /// selected row holds a touched covered cell. The selection must
+    /// already be bounds-checked.
     fn flip_init_diffs(&mut self, rows: &LineSet) -> bool {
-        // Init column masks are sparse (a program's arm group), so the
-        // exact per-bit block walk is cheap and keeps the per-row sweep
-        // from visiting blocks the word-granular approximation would add.
-        self.fill_block_cols_from_colmask();
-        let stride = self.stride();
-        let (n, m) = (self.geom.n(), self.geom.m());
-        let fully = self.fully_covered;
-        // Contiguous selections over a fully covered device aggregate the
-        // whole init: per touched block, the change segments of its rows
-        // accumulate (each rotated per the encode identity) into ONE
-        // packed CMEM XOR — the Θ(blocks) form of the critical update.
-        let contiguous = match rows {
-            LineSet::All => Some(0..n),
-            LineSet::One(i) => Some(*i..*i + 1),
-            LineSet::Range(r) => Some(r.clone()),
-            LineSet::Explicit(_) => None,
-        };
-        if fully && m <= 63 {
-            if let Some(range) = contiguous {
-                let mmask = (1u64 << m) - 1;
-                let ProtectedMemory {
-                    ref mem,
-                    ref mut cmem,
-                    ref colmask_buf,
-                    ref widx_buf,
-                    ref blkcol_buf,
-                    ..
-                } = *self;
-                if range.is_empty() || widx_buf.is_empty() {
-                    return false;
-                }
-                let grid = mem.grid();
-                let (first_br, last_br) = (range.start / m, (range.end - 1) / m);
-                // Per-block accumulators and a per-row change-word memo:
-                // every (row, block) step is then pure ALU on locals. The
-                // fixed capacities bound realistic geometries; wider
-                // shapes take the plain per-(row, block) walk below.
-                const MAX_BLOCKS: usize = 64;
-                const MAX_STRIDE: usize = 32;
-                if blkcol_buf.len() <= MAX_BLOCKS && stride <= MAX_STRIDE {
-                    let mut chg = [0u64; MAX_STRIDE];
-                    let mut acc = [(0u64, 0u64); MAX_BLOCKS];
-                    for br in first_br..=last_br {
-                        let r0 = range.start.max(br * m);
-                        let r1 = range.end.min((br + 1) * m);
-                        acc[..blkcol_buf.len()].fill((0, 0));
-                        for r in r0..r1 {
-                            let row = grid.row_words(r);
-                            for &wi in widx_buf.iter() {
-                                chg[wi] = colmask_buf[wi] & !row[wi];
-                            }
-                            let lr = r - br * m;
-                            let rot_counter = (lr + 1) % m;
-                            for (j, &bc) in blkcol_buf.iter().enumerate() {
-                                let start = bc * m;
-                                let (w0, sh) = (start / 64, start % 64);
-                                let mut seg = chg[w0] >> sh;
-                                if sh + m > 64 && w0 + 1 < stride {
-                                    seg |= chg[w0 + 1] << (64 - sh);
-                                }
-                                seg &= mmask;
-                                if seg != 0 {
-                                    acc[j].0 ^= rotl_m(seg, lr, m, mmask);
-                                    acc[j].1 ^= rotl_m(rev_m(seg, m), rot_counter, m, mmask);
-                                }
-                            }
-                        }
-                        for (j, &bc) in blkcol_buf.iter().enumerate() {
-                            let (lead, counter) = acc[j];
-                            if lead | counter != 0 {
-                                cmem.xor_block_words(br, bc, lead, counter);
-                            }
-                        }
-                    }
-                    return true;
-                }
-                for br in first_br..=last_br {
-                    let r0 = range.start.max(br * m);
-                    let r1 = range.end.min((br + 1) * m);
-                    for &bc in blkcol_buf.iter() {
-                        let start = bc * m;
-                        let (w0, sh) = (start / 64, start % 64);
-                        let spill = sh + m > 64 && w0 + 1 < stride;
-                        let mut lead = 0u64;
-                        let mut counter = 0u64;
-                        for r in r0..r1 {
-                            let row = grid.row_words(r);
-                            let mut seg = (colmask_buf[w0] & !row[w0]) >> sh;
-                            if spill {
-                                seg |= (colmask_buf[w0 + 1] & !row[w0 + 1]) << (64 - sh);
-                            }
-                            seg &= mmask;
-                            if seg != 0 {
-                                let lr = r - br * m;
-                                lead ^= rotl_m(seg, lr, m, mmask);
-                                counter ^= rotl_m(rev_m(seg, m), (lr + 1) % m, m, mmask);
-                            }
-                        }
-                        if lead | counter != 0 {
-                            cmem.xor_block_words(br, bc, lead, counter);
-                        }
-                    }
-                }
-                return true;
-            }
-        }
+        let (n, m, stride) = (self.geom.n(), self.geom.m(), self.stride());
         let ProtectedMemory {
             ref mem,
             ref mut cmem,
-            ref tables,
+            ref shifter,
             ref covered_row_masks,
             ref colmask_buf,
-            ref widx_buf,
-            ref blkcol_buf,
             ..
         } = *self;
-        let grid = mem.grid();
         let mut any_covered = false;
         for r in rows.iter(n) {
-            let row = grid.row_words(r);
-            let br = r / m;
-            let cov_base = br * stride;
-            if !fully {
-                let mut row_covered = false;
-                for &wi in widx_buf.iter() {
-                    if colmask_buf[wi] & covered_row_masks[cov_base + wi] != 0 {
-                        row_covered = true;
-                        break;
-                    }
-                }
-                if !row_covered {
-                    continue;
-                }
+            let cov = &covered_row_masks[(r / m) * stride..(r / m + 1) * stride];
+            if (0..stride).all(|wi| colmask_buf[wi] & cov[wi] == 0) {
+                continue;
             }
             any_covered = true;
-            if m <= 63 && fully {
-                xor_row_major_changes(cmem, r, blkcol_buf, m, stride, |wi| {
-                    colmask_buf[wi] & !row[wi]
-                });
-            } else if m <= 63 {
-                xor_row_major_changes(cmem, r, blkcol_buf, m, stride, |wi| {
-                    colmask_buf[wi] & covered_row_masks[cov_base + wi] & !row[wi]
-                });
-            } else {
-                let lr_base = (r % m) * n;
-                for &wi in widx_buf.iter() {
-                    let mut changed = colmask_buf[wi] & covered_row_masks[cov_base + wi] & !row[wi];
-                    while changed != 0 {
-                        let c = wi * 64 + changed.trailing_zeros() as usize;
-                        changed &= changed - 1;
-                        cmem.flip_pair(
-                            tables.lead[lr_base + c] as usize,
-                            tables.counter[lr_base + c] as usize,
-                            br,
-                            c / m,
-                        );
-                    }
-                }
-            }
+            let row = mem.grid().row_words(r);
+            shifter.xor_row_delta(cmem, r, |wi| colmask_buf[wi] & cov[wi] & !row[wi]);
         }
         any_covered
     }
@@ -1619,14 +1290,47 @@ impl ProtectedMemory {
             return Err(XbarError::RowOutOfBounds { index: r, rows: n }.into());
         }
         self.colmask_from_sel(cols)?;
-        self.line_buf.clear();
-        self.line_buf.extend_from_slice(rows);
+        let (m, stride) = (self.geom.m(), self.stride());
         if self.check_on_critical {
-            self.fill_block_rows_from_lines();
-            self.fill_block_cols_from_colmask();
-            self.precheck_rect()?;
+            self.blkrow_buf.clear();
+            self.blkrow_buf.extend(rows.iter().map(|&r| r / m));
+            self.blkrow_buf.sort_unstable();
+            self.blkrow_buf.dedup();
+            self.precheck_rect(None)?;
         }
-        self.run_row_touching_op(|mem| mem.exec_init_cols(rows, cols))
+        // Snapshot the written rows, run the init, then word-diff each row
+        // and bill the critical protocol if any touched cell was covered.
+        self.old_buf.clear();
+        for &r in rows {
+            self.old_buf.extend_from_slice(self.mem.grid().row_words(r));
+        }
+        self.mem.exec_init_cols(rows, cols)?;
+        self.stats.mem_cycles += 1;
+        let ProtectedMemory {
+            ref mem,
+            ref mut cmem,
+            ref shifter,
+            ref covered_row_masks,
+            ref colmask_buf,
+            ref old_buf,
+            ..
+        } = *self;
+        let mut any_covered = false;
+        for (i, &r) in rows.iter().enumerate() {
+            let cov = &covered_row_masks[(r / m) * stride..(r / m + 1) * stride];
+            if (0..stride).all(|wi| colmask_buf[wi] & cov[wi] == 0) {
+                continue;
+            }
+            any_covered = true;
+            let (row, old) = (mem.grid().row_words(r), &old_buf[i * stride..]);
+            shifter.xor_row_delta(cmem, r, |wi| {
+                (row[wi] ^ old[wi]) & colmask_buf[wi] & cov[wi]
+            });
+        }
+        if any_covered {
+            self.bill_critical();
+        }
+        Ok(())
     }
 
     /// Whether this machine's configuration is eligible for the fused
@@ -1698,8 +1402,8 @@ impl ProtectedMemory {
 
     /// Compiles a step sequence into a reusable row-parallel
     /// [`FusedProgram`]: the crossbar word plan plus the ECC sweep metadata
-    /// (the sequence's touched-column mask, its non-zero word indices, and
-    /// the touched block-columns). Returns `None` when the machine or the
+    /// (the sequence's touched-column mask and its non-zero word indices).
+    /// Returns `None` when the machine or the
     /// sequence is ineligible for fused execution — same rules as
     /// [`ProtectedMemory::exec_steps_rows`] — in which case callers replay
     /// through the per-step API.
@@ -1707,8 +1411,7 @@ impl ProtectedMemory {
         if !self.supports_fused_rows() || steps.is_empty() {
             return None;
         }
-        let (n, m) = (self.geom.n(), self.geom.m());
-        let stride = self.stride();
+        let (n, stride) = (self.geom.n(), self.stride());
         let mut colmask = vec![0u64; stride];
         for step in steps {
             let cells: &[usize] = match step {
@@ -1724,24 +1427,11 @@ impl ProtectedMemory {
         }
         let plan = self.mem.compile_steps_rows(steps)?;
         let widx: Vec<usize> = (0..stride).filter(|&wi| colmask[wi] != 0).collect();
-        let mut blkcols: Vec<usize> = Vec::new();
-        for &wi in &widx {
-            let mut w = colmask[wi];
-            while w != 0 {
-                let c = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let bc = c / m;
-                if blkcols.last() != Some(&bc) {
-                    blkcols.push(bc);
-                }
-            }
-        }
         Some(FusedProgram {
             kind: FusedKind::Rows {
                 plan,
                 colmask,
                 widx,
-                blkcols,
             },
             steps: steps.len() as u64,
         })
@@ -1779,11 +1469,11 @@ impl ProtectedMemory {
     /// optionally across a team of `threads` scoped workers. The row range
     /// is split into contiguous chunks at *block-row boundaries* — a pure
     /// function of the geometry and thread count — so each worker owns
-    /// disjoint plane rows **and** disjoint ECC accumulator slots; the
-    /// accumulated deltas are flushed into the CMEM serially in block-row
-    /// order afterwards. State, statistics and check-bits are therefore
-    /// bit-identical for every thread count, including `1` (which runs
-    /// inline without spawning).
+    /// disjoint plane rows **and** the disjoint CMEM check rows of its
+    /// block rows, into which it XORs its rows' deltas directly. XOR
+    /// commutes, so state, statistics and check-bits are bit-identical for
+    /// every thread count, including `1` (which runs inline without
+    /// spawning).
     ///
     /// # Panics
     ///
@@ -1812,7 +1502,6 @@ impl ProtectedMemory {
             plan,
             colmask,
             widx,
-            blkcols,
         } = &prog.kind
         else {
             panic!("column-parallel program passed to exec_fused_rows");
@@ -1826,11 +1515,8 @@ impl ProtectedMemory {
         debug_assert!(self.supports_fused_rows(), "machine not fused-eligible");
         let lines = rows.len() as u64;
         let per_row = widx.len();
-        let nbcs = blkcols.len();
         let first_br = rows.start / m;
         let nbrs = (rows.end - 1) / m - first_br + 1;
-        self.eccacc_buf.clear();
-        self.eccacc_buf.resize(nbrs * nbcs, (0, 0));
         self.old_buf.clear();
         self.old_buf.resize(rows.len() * per_row, 0);
         let team = threads.max(1).min(nbrs);
@@ -1839,31 +1525,31 @@ impl ProtectedMemory {
             let span = rows.start * stride..rows.end * stride;
             let bits = &mut bits[span.clone()];
             let armed = &mut armed[span];
+            let (lead, q) = self.cmem.rows_mut(first_br..first_br + nbrs);
+            let shifter = &self.shifter;
             if team <= 1 {
                 fused_rows_chunk(
                     plan,
+                    shifter,
                     bits,
                     armed,
                     &mut self.old_buf,
-                    &mut self.eccacc_buf,
+                    (lead, q),
                     rows.clone(),
                     colmask,
                     widx,
-                    blkcols,
-                    m,
-                    stride,
                 );
             } else {
-                let (q, rem) = (nbrs / team, nbrs % team);
+                let (per, rem) = (nbrs / team, nbrs % team);
                 std::thread::scope(|s| {
                     let mut bits_rest = bits;
                     let mut armed_rest = armed;
                     let mut old_rest = &mut self.old_buf[..];
-                    let mut acc_rest = &mut self.eccacc_buf[..];
+                    let (mut lead_rest, mut q_rest) = (lead, q);
                     let mut br_cursor = first_br;
                     let mut row_cursor = rows.start;
                     for k in 0..team {
-                        let nb = q + usize::from(k < rem);
+                        let nb = per + usize::from(k < rem);
                         let row_end = rows.end.min((br_cursor + nb) * m);
                         let chunk = row_cursor..row_end;
                         let nrows = chunk.len();
@@ -1873,12 +1559,12 @@ impl ProtectedMemory {
                         armed_rest = rest;
                         let (o, rest) = old_rest.split_at_mut(nrows * per_row);
                         old_rest = rest;
-                        let (e, rest) = acc_rest.split_at_mut(nb * nbcs);
-                        acc_rest = rest;
+                        let (l, rest) = lead_rest.split_at_mut(nb * stride);
+                        lead_rest = rest;
+                        let (c, rest) = q_rest.split_at_mut(nb * stride);
+                        q_rest = rest;
                         s.spawn(move || {
-                            fused_rows_chunk(
-                                plan, b, a, o, e, chunk, colmask, widx, blkcols, m, stride,
-                            )
+                            fused_rows_chunk(plan, shifter, b, a, o, (l, c), chunk, colmask, widx)
                         });
                         br_cursor += nb;
                         row_cursor = row_end;
@@ -1887,26 +1573,14 @@ impl ProtectedMemory {
             }
         }
         self.mem.record_fused(plan, lines);
-        let steps_n = prog.steps;
-        self.stats.mem_cycles += 3 * steps_n;
-        self.stats.transfer_cycles += 2 * steps_n;
-        self.stats.pc_xor3_ops += 2 * steps_n;
-        self.stats.critical_ops += steps_n;
-        for (i, group) in self.eccacc_buf.chunks_exact(nbcs).enumerate() {
-            for (j, &(lead, q)) in group.iter().enumerate() {
-                if lead | q != 0 {
-                    self.cmem
-                        .xor_block_words(first_br + i, blkcols[j], lead, rev_m(q, m));
-                }
-            }
-        }
+        self.bill_driven_criticals(prog.steps);
     }
 
     /// Replays a compiled column-parallel program over a contiguous column
     /// range — the transpose of [`ProtectedMemory::exec_fused_rows`]. The
     /// ECC maintenance is the *net* row-major diff of every row the
-    /// sequence writes, restricted to the column range, accumulated per
-    /// block-row and flushed once per touched block.
+    /// sequence writes, restricted to the column range, XORed into the
+    /// row's block-row check rows.
     ///
     /// # Panics
     ///
@@ -1924,8 +1598,7 @@ impl ProtectedMemory {
         let FusedKind::Cols { plan } = &prog.kind else {
             panic!("row-parallel program passed to exec_fused_cols");
         };
-        let (n, m) = (self.geom.n(), self.geom.m());
-        let stride = self.stride();
+        let n = self.geom.n();
         assert!(
             !cols.is_empty() && cols.end <= n,
             "fused column range out of bounds"
@@ -1952,74 +1625,24 @@ impl ProtectedMemory {
                 .extend_from_slice(&self.mem.grid().row_words(r)[w0..=w1]);
         }
         self.mem.exec_fused_cols(plan, cols.clone());
-        let steps_n = prog.steps;
-        self.stats.mem_cycles += 3 * steps_n;
-        self.stats.transfer_cycles += 2 * steps_n;
-        self.stats.pc_xor3_ops += 2 * steps_n;
-        self.stats.critical_ops += steps_n;
-        // Net ECC: each written row's diff over the column range, rotated
-        // into the touched block-columns; the plan's rows ascend, so one
-        // running block-row group of accumulators suffices.
-        let mmask = (1u64 << m) - 1;
-        let bc0 = cols.start / m;
-        let nbcs = (cols.end - 1) / m - bc0 + 1;
-        self.eccacc_buf.clear();
-        self.eccacc_buf.resize(nbcs, (0, 0));
+        self.bill_driven_criticals(prog.steps);
+        // Net ECC: each written row's diff over the column range.
         let ProtectedMemory {
             ref mem,
             ref mut cmem,
-            ref mut eccacc_buf,
+            ref shifter,
             ref old_buf,
             ..
         } = *self;
-        let grid = mem.grid();
-        let mut cur_br = usize::MAX;
         for (ti, r) in plan.touched_lines().enumerate() {
-            let br = r / m;
-            if br != cur_br {
-                if cur_br != usize::MAX {
-                    for (j, a) in eccacc_buf.iter_mut().enumerate() {
-                        if a.0 | a.1 != 0 {
-                            cmem.xor_block_words(cur_br, bc0 + j, a.0, rev_m(a.1, m));
-                            *a = (0, 0);
-                        }
-                    }
-                }
-                cur_br = br;
-            }
-            let row = grid.row_words(r);
-            let ob = ti * nwords;
-            let lr = r % m;
-            let rot_q = m - 1 - lr;
-            let at = |wi: usize| -> u64 {
-                if wi < w0 || wi > w1 {
-                    0
+            let (row, old) = (mem.grid().row_words(r), &old_buf[ti * nwords..]);
+            shifter.xor_row_delta(cmem, r, |wi| {
+                if (w0..=w1).contains(&wi) {
+                    (row[wi] ^ old[wi - w0]) & mask[wi - w0]
                 } else {
-                    (row[wi] ^ old_buf[ob + wi - w0]) & mask[wi - w0]
+                    0
                 }
-            };
-            for j in 0..nbcs {
-                let start = (bc0 + j) * m;
-                let (wb, sh) = (start / 64, start % 64);
-                let mut seg = at(wb) >> sh;
-                if sh + m > 64 && wb + 1 < stride {
-                    seg |= at(wb + 1) << (64 - sh);
-                }
-                seg &= mmask;
-                if seg != 0 {
-                    let a = &mut eccacc_buf[j];
-                    a.0 ^= rotl_m(seg, lr, m, mmask);
-                    a.1 ^= rotl_m(seg, rot_q, m, mmask);
-                }
-            }
-        }
-        if cur_br != usize::MAX {
-            for (j, a) in eccacc_buf.iter_mut().enumerate() {
-                if a.0 | a.1 != 0 {
-                    cmem.xor_block_words(cur_br, bc0 + j, a.0, rev_m(a.1, m));
-                    *a = (0, 0);
-                }
-            }
+            });
         }
     }
 
@@ -2049,78 +1672,14 @@ impl ProtectedMemory {
         Ok(())
     }
 
-    /// Flushes the dirty block-column accumulators (`blkcol_buf`) of one
-    /// block-row group into the CMEM — the counter sums are bit-reversed
-    /// once here, not per line — and resets them for the next group.
-    fn flush_ecc_group(&mut self, br: usize, m: usize) {
-        if br == usize::MAX {
-            return;
-        }
-        for i in 0..self.blkcol_buf.len() {
-            let bc = self.blkcol_buf[i];
-            let (lead, q) = self.eccacc_buf[bc];
-            if lead | q != 0 {
-                self.cmem.xor_block_words(br, bc, lead, rev_m(q, m));
-            }
-            self.eccacc_buf[bc] = (0, 0);
-        }
-        self.blkcol_buf.clear();
-    }
-
-    /// Accumulates one row's masked change words into the per-block-column
-    /// ECC accumulators (`eccacc_buf`, indexed by absolute block-column),
-    /// marking newly dirtied block-columns in `blkcol_buf`. `cm` gates
-    /// which words are inspected; `chg` holds the masked old-xor-new words.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_row_ecc(
-        &mut self,
-        r: usize,
-        cm: &[u64],
-        chg: &[u64],
-        m: usize,
-        mmask: u64,
-        stride: usize,
-        bps: usize,
-    ) {
-        let lr = r % m;
-        let rot_q = m - 1 - lr;
-        let mut next_bc = 0usize;
-        for (wi, &cmw) in cm.iter().enumerate().take(stride) {
-            if cmw == 0 {
-                continue;
-            }
-            let first = (wi * 64) / m;
-            let last = ((wi * 64 + 63) / m).min(bps - 1);
-            for bc in first.max(next_bc)..=last {
-                let start = bc * m;
-                let (w0, sh) = (start / 64, start % 64);
-                let mut seg = chg[w0] >> sh;
-                if sh + m > 64 && w0 + 1 < stride {
-                    seg |= chg[w0 + 1] << (64 - sh);
-                }
-                seg &= mmask;
-                if seg != 0 {
-                    // Duplicate entries are fine: the flush zeroes an
-                    // accumulator on first visit and skips it after, so a
-                    // push-always dirty list beats a membership scan.
-                    self.blkcol_buf.push(bc);
-                    let a = &mut self.eccacc_buf[bc];
-                    a.0 ^= rotl_m(seg, lr, m, mmask);
-                    a.1 ^= rotl_m(seg, rot_q, m, mmask);
-                }
-            }
-            next_bc = last + 1;
-        }
-    }
-
     /// Batched form of [`ProtectedMemory::write_row_cells`]: drives every
     /// listed row's sparse load (`loads[row]`) in one sweep. State,
     /// [`MachineStats`] and crossbar statistics are bit-identical to calling
     /// the per-line API once per listed row, in any order — writes to
     /// distinct lines commute and ECC updates are XORs — but the batched
-    /// sweep packs each line's cells straight into stack words and
-    /// accumulates the ECC deltas per block-row instead of flushing (and
-    /// bit-reversing) per line. Ineligible machines (scalar engine, partial
+    /// sweep packs each line's cells straight into stack words and XORs
+    /// each row's change into the CMEM as whole check rows. Ineligible
+    /// machines (scalar engine, partial
     /// coverage, pre-write checking, `m > 63`) fall back to the per-line
     /// path. All loads are validated before anything is written.
     ///
@@ -2156,24 +1715,9 @@ impl ProtectedMemory {
             }
             return Ok(());
         }
-        let (m, stride) = (self.geom.m(), self.stride());
-        let mmask = (1u64 << m) - 1;
-        let bps = self.geom.blocks_per_side();
-        self.sorted_buf.clear();
-        self.sorted_buf
-            .extend(lines.iter().copied().filter(|&r| !loads[r].is_empty()));
-        self.sorted_buf.sort_unstable();
-        self.eccacc_buf.clear();
-        self.eccacc_buf.resize(bps, (0, 0));
-        self.blkcol_buf.clear();
-        let mut cur_br = usize::MAX;
-        for idx in 0..self.sorted_buf.len() {
-            let r = self.sorted_buf[idx];
-            let br = r / m;
-            if br != cur_br {
-                self.flush_ecc_group(cur_br, m);
-                cur_br = br;
-            }
+        let stride = self.stride();
+        let mut driven = 0u64;
+        for &r in lines.iter().filter(|&&r| !loads[r].is_empty()) {
             let mut cm = [0u64; MAX_FUSED_STRIDE];
             let mut nv = [0u64; MAX_FUSED_STRIDE];
             for &(c, v) in &loads[r] {
@@ -2185,22 +1729,10 @@ impl ProtectedMemory {
                     nv[wi] &= !bit;
                 }
             }
-            let mut chg = [0u64; MAX_FUSED_STRIDE];
-            {
-                let row = self.mem.grid().row_words(r);
-                for wi in 0..stride {
-                    if cm[wi] != 0 {
-                        chg[wi] = (row[wi] ^ nv[wi]) & cm[wi];
-                    }
-                }
-            }
-            self.mem
-                .write_row_words_masked(r, &nv[..stride], &cm[..stride]);
-            self.stats.mem_cycles += 1;
-            self.bill_critical();
-            self.accumulate_row_ecc(r, &cm, &chg, m, mmask, stride, bps);
+            self.drive_row(r, &cm[..stride], &nv[..stride]);
+            driven += 1;
         }
-        self.flush_ecc_group(cur_br, m);
+        self.bill_driven_criticals(driven);
         Ok(())
     }
 
@@ -2246,9 +1778,7 @@ impl ProtectedMemory {
             }
             return Ok(());
         }
-        let (n, m, stride) = (self.geom.n(), self.geom.m(), self.stride());
-        let mmask = (1u64 << m) - 1;
-        let bps = self.geom.blocks_per_side();
+        let (n, stride) = (self.geom.n(), self.stride());
         self.stage_val.resize(n * stride, 0);
         self.stage_msk.resize(n * stride, 0);
         self.stage_rows.resize(n.div_ceil(64), 0);
@@ -2271,61 +1801,52 @@ impl ProtectedMemory {
             }
             driven += 1;
         }
-        // Per-column billing, exactly as the per-line path: one MEM cycle
-        // plus one critical protocol per driven column (full coverage makes
-        // every non-empty column critical).
-        self.stats.mem_cycles += 3 * driven;
-        self.stats.transfer_cycles += 2 * driven;
-        self.stats.pc_xor3_ops += 2 * driven;
-        self.stats.critical_ops += driven;
-        self.drive_staged_rows(m, mmask, stride, bps);
+        self.bill_driven_criticals(driven);
+        self.drive_staged_rows();
         Ok(())
+    }
+
+    /// Bills `count` driven critical operations, each one MEM cycle plus
+    /// the critical-operation protocol — what the per-step path bills per
+    /// fused step, and the per-line path per driven (non-empty) line of a
+    /// batched load on a fully covered machine.
+    fn bill_driven_criticals(&mut self, count: u64) {
+        self.stats.mem_cycles += 3 * count;
+        self.stats.transfer_cycles += 2 * count;
+        self.stats.pc_xor3_ops += 2 * count;
+        self.stats.critical_ops += count;
+    }
+
+    /// Drives row `r` with the masked store of `nv` under `cm` (zero
+    /// cycles; callers bill the line) and XORs the row's change into its
+    /// block row's check rows. Fused word path only.
+    fn drive_row(&mut self, r: usize, cm: &[u64], nv: &[u64]) {
+        let row = self.mem.grid().row_words(r);
+        self.shifter
+            .xor_row_delta(&mut self.cmem, r, |wi| (row[wi] ^ nv[wi]) & cm[wi]);
+        self.mem.write_row_words_masked(r, nv, cm);
     }
 
     /// Drives every row flagged in `stage_rows` with the masked word held
     /// in the row-major staging planes, restoring the planes to all-zero
-    /// as it goes; ECC deltas accumulate per block-row. Shared tail of the
-    /// column-axis batched writers — column billing has already been done
-    /// by the caller, so this only performs the (zero-cycle) masked stores
-    /// and the CMEM updates.
-    fn drive_staged_rows(&mut self, m: usize, mmask: u64, stride: usize, bps: usize) {
-        self.eccacc_buf.clear();
-        self.eccacc_buf.resize(bps, (0, 0));
-        self.blkcol_buf.clear();
-        let mut cur_br = usize::MAX;
+    /// as it goes. Shared tail of the column-axis batched writers — column
+    /// billing has already been done by the caller.
+    fn drive_staged_rows(&mut self) {
+        let stride = self.stride();
+        let mut msk = std::mem::take(&mut self.stage_msk);
+        let mut val = std::mem::take(&mut self.stage_val);
         for rw in 0..self.stage_rows.len() {
-            let mut wbits = self.stage_rows[rw];
-            self.stage_rows[rw] = 0;
+            let mut wbits = std::mem::take(&mut self.stage_rows[rw]);
             while wbits != 0 {
                 let r = rw * 64 + wbits.trailing_zeros() as usize;
                 wbits &= wbits - 1;
-                let br = r / m;
-                if br != cur_br {
-                    self.flush_ecc_group(cur_br, m);
-                    cur_br = br;
-                }
-                let base = r * stride;
-                let mut cm = [0u64; MAX_FUSED_STRIDE];
-                let mut nv = [0u64; MAX_FUSED_STRIDE];
-                cm[..stride].copy_from_slice(&self.stage_msk[base..base + stride]);
-                nv[..stride].copy_from_slice(&self.stage_val[base..base + stride]);
-                self.stage_msk[base..base + stride].fill(0);
-                self.stage_val[base..base + stride].fill(0);
-                let mut chg = [0u64; MAX_FUSED_STRIDE];
-                {
-                    let row = self.mem.grid().row_words(r);
-                    for wi in 0..stride {
-                        if cm[wi] != 0 {
-                            chg[wi] = (row[wi] ^ nv[wi]) & cm[wi];
-                        }
-                    }
-                }
-                self.mem
-                    .write_row_words_masked(r, &nv[..stride], &cm[..stride]);
-                self.accumulate_row_ecc(r, &cm, &chg, m, mmask, stride, bps);
+                let span = r * stride..(r + 1) * stride;
+                self.drive_row(r, &msk[span.clone()], &val[span.clone()]);
+                msk[span.clone()].fill(0);
+                val[span].fill(0);
             }
         }
-        self.flush_ecc_group(cur_br, m);
+        (self.stage_msk, self.stage_val) = (msk, val);
     }
 
     /// Word-plane form of [`ProtectedMemory::write_rows_cells_batched`]:
@@ -2370,13 +1891,12 @@ impl ProtectedMemory {
             self.supports_fused_rows(),
             "word-plane writes require the fused word path"
         );
-        let (n, m, stride) = (self.geom.n(), self.geom.m(), self.stride());
-        let mmask = (1u64 << m) - 1;
-        let bps = self.geom.blocks_per_side();
+        let (n, stride) = (self.geom.n(), self.stride());
         let tail_keep = match n % 64 {
             0 => u64::MAX,
             t => (1u64 << t) - 1,
         };
+        let mut driven = 0u64;
         for &r in lines {
             if r >= n {
                 return Err(CoreError::OutOfBounds { row: r, col: 0, n });
@@ -2384,49 +1904,22 @@ impl ProtectedMemory {
             if masks[r * stride + stride - 1] & !tail_keep != 0 {
                 return Err(CoreError::OutOfBounds { row: r, col: n, n });
             }
-        }
-        self.sorted_buf.clear();
-        self.sorted_buf.extend(
-            lines
-                .iter()
-                .copied()
-                .filter(|&r| masks[r * stride..(r + 1) * stride].iter().any(|&w| w != 0)),
-        );
-        self.sorted_buf.sort_unstable();
-        self.eccacc_buf.clear();
-        self.eccacc_buf.resize(bps, (0, 0));
-        self.blkcol_buf.clear();
-        let mut cur_br = usize::MAX;
-        for idx in 0..self.sorted_buf.len() {
-            let r = self.sorted_buf[idx];
-            let br = r / m;
-            if br != cur_br {
-                self.flush_ecc_group(cur_br, m);
-                cur_br = br;
+            if masks[r * stride..(r + 1) * stride].iter().any(|&w| w != 0) {
+                driven += 1;
             }
-            let base = r * stride;
-            let mut cm = [0u64; MAX_FUSED_STRIDE];
-            let mut nv = [0u64; MAX_FUSED_STRIDE];
-            cm[..stride].copy_from_slice(&masks[base..base + stride]);
-            nv[..stride].copy_from_slice(&vals[base..base + stride]);
-            masks[base..base + stride].fill(0);
-            vals[base..base + stride].fill(0);
-            let mut chg = [0u64; MAX_FUSED_STRIDE];
-            {
-                let row = self.mem.grid().row_words(r);
-                for wi in 0..stride {
-                    if cm[wi] != 0 {
-                        chg[wi] = (row[wi] ^ nv[wi]) & cm[wi];
-                    }
-                }
-            }
-            self.mem
-                .write_row_words_masked(r, &nv[..stride], &cm[..stride]);
-            self.stats.mem_cycles += 1;
-            self.bill_critical();
-            self.accumulate_row_ecc(r, &cm, &chg, m, mmask, stride, bps);
         }
-        self.flush_ecc_group(cur_br, m);
+        self.bill_driven_criticals(driven);
+        for &r in lines {
+            let span = r * stride..(r + 1) * stride;
+            // A repeated line finds its planes already consumed: billed
+            // above like the per-line path, but nothing left to drive.
+            if masks[span.clone()].iter().all(|&w| w == 0) {
+                continue;
+            }
+            self.drive_row(r, &masks[span.clone()], &vals[span.clone()]);
+            masks[span.clone()].fill(0);
+            vals[span].fill(0);
+        }
         Ok(())
     }
 
@@ -2472,9 +1965,7 @@ impl ProtectedMemory {
             self.supports_fused_rows(),
             "word-plane writes require the fused word path"
         );
-        let (n, m, stride) = (self.geom.n(), self.geom.m(), self.stride());
-        let mmask = (1u64 << m) - 1;
-        let bps = self.geom.blocks_per_side();
+        let (n, stride) = (self.geom.n(), self.stride());
         let tail_keep = match n % 64 {
             0 => u64::MAX,
             t => (1u64 << t) - 1,
@@ -2528,12 +2019,8 @@ impl ProtectedMemory {
                 }
             }
         }
-        // Per-column billing, exactly as the cells path.
-        self.stats.mem_cycles += 3 * driven;
-        self.stats.transfer_cycles += 2 * driven;
-        self.stats.pc_xor3_ops += 2 * driven;
-        self.stats.critical_ops += driven;
-        self.drive_staged_rows(m, mmask, stride, bps);
+        self.bill_driven_criticals(driven);
+        self.drive_staged_rows();
         Ok(())
     }
 
@@ -2773,73 +2260,74 @@ impl ProtectedMemory {
     }
 
     /// Word-diff [`ProtectedMemory::check_block`]: syndromes are two packed
-    /// XORs of recomputed vs stored parity words; a single data error is
-    /// located from the two lone syndrome bits.
+    /// XORs of recomputed vs stored parity words.
     fn check_block_word(&mut self, block_row: usize, block_col: usize) -> ErrorLocation {
-        let m = self.geom.m();
         self.fill_block_rows(block_row, block_col);
-        let (lead_calc, counter_calc) = self.code.encode_words(&self.blockrow_buf);
-        let syn_lead = lead_calc
-            ^ self
-                .cmem
-                .block_checks_word(Family::Leading, block_row, block_col);
-        let syn_counter = counter_calc
-            ^ self
-                .cmem
-                .block_checks_word(Family::Counter, block_row, block_col);
+        let (lead, counter) = self.code.encode_words(&self.blockrow_buf);
+        let stored = |family| self.cmem.block_checks_word(family, block_row, block_col);
+        let syn_lead = lead ^ stored(Family::Leading);
+        let syn_counter = counter ^ stored(Family::Counter);
         self.stats.blocks_checked += 1;
-        match (syn_lead.count_ones(), syn_counter.count_ones()) {
-            (0, 0) => ErrorLocation::None,
+        self.resolve_syndromes(block_row, block_col, syn_lead, syn_counter)
+    }
+
+    /// Applies the single-error correction a block's packed syndromes call
+    /// for (bit `d` = diagonal `d`), with the statistics of the per-block
+    /// checker: a lone bit in each family locates a data error, which is
+    /// written back unless the cell is pinned; a lone bit in one family is
+    /// a check-bit error, repaired by flipping it; anything else is
+    /// uncorrectable.
+    fn resolve_syndromes(
+        &mut self,
+        block_row: usize,
+        block_col: usize,
+        syn_lead: u64,
+        syn_counter: u64,
+    ) -> ErrorLocation {
+        let m = self.geom.m();
+        let (lead_d, counter_d) = (
+            syn_lead.trailing_zeros() as usize,
+            syn_counter.trailing_zeros() as usize,
+        );
+        let loc = match (syn_lead.count_ones(), syn_counter.count_ones()) {
+            (0, 0) => return ErrorLocation::None,
             (1, 1) => {
-                let (local_row, local_col) = self.geom.locate(
-                    syn_lead.trailing_zeros() as usize,
-                    syn_counter.trailing_zeros() as usize,
-                );
+                let (local_row, local_col) = self.geom.locate(lead_d, counter_d);
                 let (r, c) = (block_row * m + local_row, block_col * m + local_col);
                 self.stats.mem_cycles += 1;
                 if self.is_stuck(r, c) {
-                    // Write-back refused by the wedged cell (see the
-                    // scalar checker): reclassify as uncorrectable.
-                    self.stats.errors_uncorrectable += 1;
-                    return ErrorLocation::Uncorrectable;
-                }
-                let corrected = !self.mem.bit(r, c);
-                self.mem.write_bit(r, c, corrected);
-                self.stats.errors_corrected += 1;
-                ErrorLocation::Data {
-                    local_row,
-                    local_col,
+                    // The write-back pulse cannot switch a wedged cell —
+                    // read-back disagrees, so the block is beyond this
+                    // code's repair.
+                    ErrorLocation::Uncorrectable
+                } else {
+                    let corrected = !self.mem.bit(r, c);
+                    self.mem.write_bit(r, c, corrected);
+                    ErrorLocation::Data {
+                        local_row,
+                        local_col,
+                    }
                 }
             }
             (1, 0) => {
-                let diagonal = syn_lead.trailing_zeros() as usize;
-                self.cmem.set_bit(
-                    Family::Leading,
-                    diagonal,
-                    block_row,
-                    block_col,
-                    lead_calc >> diagonal & 1 != 0,
-                );
-                self.stats.errors_corrected += 1;
-                ErrorLocation::LeadingCheck { diagonal }
+                self.cmem
+                    .inject_fault(Family::Leading, lead_d, block_row, block_col);
+                ErrorLocation::LeadingCheck { diagonal: lead_d }
             }
             (0, 1) => {
-                let diagonal = syn_counter.trailing_zeros() as usize;
-                self.cmem.set_bit(
-                    Family::Counter,
-                    diagonal,
-                    block_row,
-                    block_col,
-                    counter_calc >> diagonal & 1 != 0,
-                );
-                self.stats.errors_corrected += 1;
-                ErrorLocation::CounterCheck { diagonal }
+                self.cmem
+                    .inject_fault(Family::Counter, counter_d, block_row, block_col);
+                ErrorLocation::CounterCheck {
+                    diagonal: counter_d,
+                }
             }
-            _ => {
-                self.stats.errors_uncorrectable += 1;
-                ErrorLocation::Uncorrectable
-            }
+            _ => ErrorLocation::Uncorrectable,
+        };
+        match loc {
+            ErrorLocation::Uncorrectable => self.stats.errors_uncorrectable += 1,
+            _ => self.stats.errors_corrected += 1,
         }
+        loc
     }
 
     /// Checks a whole row of blocks — the paper's pre-execution input check
@@ -2876,268 +2364,68 @@ impl ProtectedMemory {
                 self.check_block(block_row, bc)?
             };
             report.checked += 1;
-            match loc {
-                ErrorLocation::None => {}
-                ErrorLocation::Uncorrectable => report.uncorrectable += 1,
-                _ => report.corrected += 1,
-            }
+            report.record(loc);
         }
         Ok(report)
     }
 
-    /// Fully-covered word-path fast sweep of one block row: reads each of
-    /// the `m` MEM rows **once**, rotates *every* block column's m-bit
-    /// field simultaneously (two whole-row SWAR field rotations per MEM
-    /// row — see [`ProtectedMemory::field_rot_xor`] — instead of `bps`
-    /// scalar rotations each), then compares all `bps` blocks against the
-    /// CMEM. Outcome, reports and statistics are identical to checking
-    /// block by block — the per-cell parity contributions are the same
-    /// XORs, corrections are block-local, and each block is visited
-    /// exactly once.
+    /// Fills `acc_lead`/`acc_q` with the parity rows that block row
+    /// `block_row`'s data computes, laid out like its CMEM check rows: each
+    /// of its m MEM rows is read once and rotated into every block column's
+    /// field at once (see [`FieldShifter`]). Word path, `m <= 63`.
+    fn sweep_block_row(&mut self, block_row: usize) {
+        let (m, stride) = (self.geom.m(), self.stride());
+        let ProtectedMemory {
+            ref mem,
+            ref shifter,
+            ref mut acc_lead,
+            ref mut acc_q,
+            ..
+        } = *self;
+        acc_lead.clear();
+        acc_lead.resize(stride, 0);
+        acc_q.clear();
+        acc_q.resize(stride, 0);
+        for lr in 0..m {
+            let row = mem.grid().row_words(block_row * m + lr);
+            shifter.rotate_into(acc_lead, acc_q, lr, |w| row[w]);
+        }
+    }
+
+    /// Fully-covered word-path sweep of one block row: computes every
+    /// block's parities at once ([`ProtectedMemory::sweep_block_row`]),
+    /// XORs the stored check rows in to leave the syndrome rows — `stride`
+    /// words per family — and resolves only the blocks whose syndrome
+    /// fields are non-zero (rare). Outcome, reports and statistics are
+    /// identical to checking block by block: the per-cell parity
+    /// contributions are the same XORs, corrections are block-local, and
+    /// each block is visited exactly once.
     fn check_block_row_sweep(&mut self, block_row: usize) -> CheckReport {
-        let m = self.geom.m();
-        let bps = self.geom.blocks_per_side();
-        let stride = self.mem.grid().stride();
-        let mmask = (1u64 << m) - 1;
-        self.ensure_rot_masks(m, stride, bps);
-        self.acc_lead.clear();
-        self.acc_lead.resize(stride, 0);
-        self.acc_q.clear();
-        self.acc_q.resize(stride, 0);
-        {
-            let grid = self.mem.grid();
-            for lr in 0..m {
-                let row = grid.row_words(block_row * m + lr);
-                let rot_q = m - 1 - lr;
-                Self::field_rot_xor(
-                    &mut self.acc_lead,
-                    row,
-                    lr,
-                    m,
-                    &self.rot_hi[lr * stride..(lr + 1) * stride],
-                    &self.rot_lo[lr * stride..(lr + 1) * stride],
-                );
-                Self::field_rot_xor(
-                    &mut self.acc_q,
-                    row,
-                    rot_q,
-                    m,
-                    &self.rot_hi[rot_q * stride..(rot_q + 1) * stride],
-                    &self.rot_lo[rot_q * stride..(rot_q + 1) * stride],
-                );
-            }
+        let (m, bps) = (self.geom.m(), self.geom.blocks_per_side());
+        self.sweep_block_row(block_row);
+        let (lead, q) = self.cmem.rows(block_row);
+        let mut mismatch = 0u64;
+        for (w, (al, aq)) in self.acc_lead.iter_mut().zip(&mut self.acc_q).enumerate() {
+            *al ^= lead[w];
+            *aq ^= q[w];
+            mismatch |= *al | *aq;
         }
         let mut report = CheckReport {
             checked: bps,
             ..CheckReport::default()
         };
         self.stats.blocks_checked += bps as u64;
-        // Compare all blocks against the CMEM's contiguous per-row check
-        // words; only mismatching blocks (rare) take the correction path.
-        // `sorted_buf` is free here — the sweep never runs inside the
-        // batched writers that own it.
-        self.sorted_buf.clear();
-        {
-            let ProtectedMemory {
-                ref cmem,
-                ref acc_lead,
-                ref acc_q,
-                ref mut sorted_buf,
-                ..
-            } = *self;
-            let lead_stored = cmem.family_row(Family::Leading, block_row);
-            let ctr_stored = cmem.family_row(Family::Counter, block_row);
-            for bc in 0..bps {
-                let (lead, ctr) = Self::sweep_fields(acc_lead, acc_q, bc, m, stride, mmask);
-                if (lead ^ lead_stored[bc]) | (ctr ^ ctr_stored[bc]) != 0 {
-                    sorted_buf.push(bc);
-                }
-            }
+        if mismatch == 0 {
+            return report;
         }
-        for i in 0..self.sorted_buf.len() {
-            let bc = self.sorted_buf[i];
-            let (lead, ctr) = Self::sweep_fields(&self.acc_lead, &self.acc_q, bc, m, stride, mmask);
-            let syn_lead = lead ^ self.cmem.block_checks_word(Family::Leading, block_row, bc);
-            let syn_ctr = ctr ^ self.cmem.block_checks_word(Family::Counter, block_row, bc);
-            self.resolve_block_mismatch(block_row, bc, lead, ctr, syn_lead, syn_ctr, &mut report);
+        for bc in 0..bps {
+            let syn_lead = read_field(&self.acc_lead, bc * m, m);
+            let syn_q = read_field(&self.acc_q, bc * m, m);
+            if syn_lead | syn_q != 0 {
+                report.record(self.resolve_syndromes(block_row, bc, syn_lead, rev_field(syn_q, m)));
+            }
         }
         report
-    }
-
-    /// Extracts one block column's computed parity words out of the sweep
-    /// accumulators: the leading field as-is, the counter field bit-reversed
-    /// (the Q-trick's single reversal per block).
-    #[inline]
-    fn sweep_fields(
-        acc_lead: &[u64],
-        acc_q: &[u64],
-        bc: usize,
-        m: usize,
-        stride: usize,
-        mmask: u64,
-    ) -> (u64, u64) {
-        let start = bc * m;
-        let (w0, sh) = (start / 64, (start % 64) as u32);
-        let mut lead = acc_lead[w0] >> sh;
-        let mut q = acc_q[w0] >> sh;
-        if sh as usize + m > 64 && w0 + 1 < stride {
-            lead |= acc_lead[w0 + 1] << (64 - sh);
-            q |= acc_q[w0 + 1] << (64 - sh);
-        }
-        (lead & mmask, rev_m(q & mmask, m))
-    }
-
-    /// XORs a whole-row **per-field left rotation** into `acc`: every
-    /// aligned m-bit field of `row` (one per block column, `bps` of them
-    /// side by side) is rotated left by `rot` and accumulated, in
-    /// `O(stride)` word operations instead of one scalar `rotl_m` per
-    /// block. The identity per field is the usual barrel rotate: a big
-    /// shift left by `rot` places the bits that stay inside their field
-    /// (`hi` mask — positions `>= rot` within the field), a big shift
-    /// right by `m - rot` places the wrapped bits (`lo` mask). Bits past
-    /// `bps * m` are excluded by both masks.
-    #[inline]
-    fn field_rot_xor(acc: &mut [u64], row: &[u64], rot: usize, m: usize, hi: &[u64], lo: &[u64]) {
-        let stride = acc.len();
-        if rot == 0 {
-            for w in 0..stride {
-                acc[w] ^= row[w] & hi[w];
-            }
-            return;
-        }
-        let sh = m - rot;
-        let mut prev = 0u64;
-        for w in 0..stride {
-            let a = row[w] << rot | prev >> (64 - rot);
-            let next = if w + 1 < stride { row[w + 1] } else { 0 };
-            let b = row[w] >> sh | next << (64 - sh);
-            acc[w] ^= (a & hi[w]) | (b & lo[w]);
-            prev = row[w];
-        }
-    }
-
-    /// Builds the per-rotation field masks of the SWAR sweep (cached; a
-    /// pure function of the geometry).
-    fn ensure_rot_masks(&mut self, m: usize, stride: usize, bps: usize) {
-        if self.rot_hi.len() == m * stride {
-            return;
-        }
-        self.rot_hi = vec![0; m * stride];
-        self.rot_lo = vec![0; m * stride];
-        for rot in 0..m {
-            for p in 0..bps * m {
-                let (w, bit) = (p / 64, 1u64 << (p % 64));
-                if p % m >= rot {
-                    self.rot_hi[rot * stride + w] |= bit;
-                } else {
-                    self.rot_lo[rot * stride + w] |= bit;
-                }
-            }
-        }
-    }
-
-    /// Compares one block's freshly computed parity words against the CMEM
-    /// and applies the single-error correction — the tail half of
-    /// [`ProtectedMemory::check_block_word`], shared by the block-line
-    /// sweeps. Statistics and report counts match the per-block checker
-    /// exactly.
-    fn resolve_block_word(
-        &mut self,
-        block_row: usize,
-        block_col: usize,
-        lead_calc: u64,
-        counter_calc: u64,
-        report: &mut CheckReport,
-    ) {
-        let syn_lead = lead_calc
-            ^ self
-                .cmem
-                .block_checks_word(Family::Leading, block_row, block_col);
-        let syn_counter = counter_calc
-            ^ self
-                .cmem
-                .block_checks_word(Family::Counter, block_row, block_col);
-        self.stats.blocks_checked += 1;
-        report.checked += 1;
-        if syn_lead | syn_counter == 0 {
-            return;
-        }
-        self.resolve_block_mismatch(
-            block_row,
-            block_col,
-            lead_calc,
-            counter_calc,
-            syn_lead,
-            syn_counter,
-            report,
-        );
-    }
-
-    /// The error half of [`ProtectedMemory::resolve_block_word`]: applies
-    /// the single-error correction for a block whose syndromes are already
-    /// known non-zero. Split out so bulk sweeps can compare syndromes
-    /// against contiguous CMEM slices and only fall in here for the rare
-    /// mismatching block.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_block_mismatch(
-        &mut self,
-        block_row: usize,
-        block_col: usize,
-        lead_calc: u64,
-        counter_calc: u64,
-        syn_lead: u64,
-        syn_counter: u64,
-        report: &mut CheckReport,
-    ) {
-        let m = self.geom.m();
-        match (syn_lead.count_ones(), syn_counter.count_ones()) {
-            (1, 1) => {
-                let (local_row, local_col) = self.geom.locate(
-                    syn_lead.trailing_zeros() as usize,
-                    syn_counter.trailing_zeros() as usize,
-                );
-                let (r, c) = (block_row * m + local_row, block_col * m + local_col);
-                self.stats.mem_cycles += 1;
-                if self.is_stuck(r, c) {
-                    // Write-back refused by the wedged cell: uncorrectable.
-                    self.stats.errors_uncorrectable += 1;
-                    report.uncorrectable += 1;
-                } else {
-                    let corrected = !self.mem.bit(r, c);
-                    self.mem.write_bit(r, c, corrected);
-                    self.stats.errors_corrected += 1;
-                    report.corrected += 1;
-                }
-            }
-            (1, 0) => {
-                let diagonal = syn_lead.trailing_zeros() as usize;
-                self.cmem.set_bit(
-                    Family::Leading,
-                    diagonal,
-                    block_row,
-                    block_col,
-                    lead_calc >> diagonal & 1 != 0,
-                );
-                self.stats.errors_corrected += 1;
-                report.corrected += 1;
-            }
-            (0, 1) => {
-                let diagonal = syn_counter.trailing_zeros() as usize;
-                self.cmem.set_bit(
-                    Family::Counter,
-                    diagonal,
-                    block_row,
-                    block_col,
-                    counter_calc >> diagonal & 1 != 0,
-                );
-                self.stats.errors_corrected += 1;
-                report.corrected += 1;
-            }
-            _ => {
-                self.stats.errors_uncorrectable += 1;
-                report.uncorrectable += 1;
-            }
-        }
     }
 
     /// Transpose of [`ProtectedMemory::check_block_row`]: checks a whole
@@ -3172,44 +2460,34 @@ impl ProtectedMemory {
                 self.check_block(br, block_col)?
             };
             report.checked += 1;
-            match loc {
-                ErrorLocation::None => {}
-                ErrorLocation::Uncorrectable => report.uncorrectable += 1,
-                _ => report.corrected += 1,
-            }
+            report.record(loc);
         }
         Ok(report)
     }
 
     /// Column transpose of [`ProtectedMemory::check_block_row_sweep`]: the
-    /// blocks of one block column share their word/shift addressing, so
-    /// each block's parities come straight off its `m` row words without
-    /// staging, one bit reversal per block.
+    /// blocks of one block column share their field position, so each
+    /// block's parities come straight off its `m` row words, compared in
+    /// the CMEM's stored field form.
     fn check_block_col_sweep(&mut self, block_col: usize) -> CheckReport {
-        let m = self.geom.m();
-        let bps = self.geom.blocks_per_side();
-        let stride = self.mem.grid().stride();
-        let mmask = (1u64 << m) - 1;
+        let (m, bps) = (self.geom.m(), self.geom.blocks_per_side());
         let start = block_col * m;
-        let (w0, sh) = (start / 64, (start % 64) as u32);
-        let spill = sh as usize + m > 64;
-        let mut report = CheckReport::default();
+        let mut report = CheckReport {
+            checked: bps,
+            ..CheckReport::default()
+        };
+        self.stats.blocks_checked += bps as u64;
         for br in 0..bps {
-            let (mut lead, mut q) = (0u64, 0u64);
-            {
-                let grid = self.mem.grid();
-                for lr in 0..m {
-                    let row = grid.row_words(br * m + lr);
-                    let mut seg = row[w0] >> sh;
-                    if spill && w0 + 1 < stride {
-                        seg |= row[w0 + 1] << (64 - sh);
-                    }
-                    seg &= mmask;
-                    lead ^= rotl_m(seg, lr, m, mmask);
-                    q ^= rotl_m(seg, m - 1 - lr, m, mmask);
-                }
+            let (mut syn_lead, mut syn_q) = {
+                let (lead, q) = self.cmem.rows(br);
+                (read_field(lead, start, m), read_field(q, start, m))
+            };
+            for lr in 0..m {
+                let seg = read_field(self.mem.grid().row_words(br * m + lr), start, m);
+                syn_lead ^= rotl_m(seg, lr, m);
+                syn_q ^= rotl_m(seg, m - 1 - lr, m);
             }
-            self.resolve_block_word(br, block_col, lead, rev_m(q, m), &mut report);
+            report.record(self.resolve_syndromes(br, block_col, syn_lead, rev_field(syn_q, m)));
         }
         report
     }
@@ -3273,43 +2551,40 @@ impl ProtectedMemory {
     }
 
     /// Scrub: re-encodes every covered block's check-bits from the current
-    /// data — the write-with-ECC sweep a refresh cycle performs. Unlike
-    /// [`ProtectedMemory::check_all`] this does not *correct* anything; it
-    /// re-bases the code on whatever the data now holds, clearing any
-    /// stale parity left by the §III false-positive window.
+    /// data — the write-with-ECC sweep a refresh cycle performs, one block
+    /// row at a time ([`ProtectedMemory::scrub_block_row`]; every row is
+    /// read and re-encoded once). Unlike [`ProtectedMemory::check_all`]
+    /// this does not *correct* anything; it re-bases the code on whatever
+    /// the data now holds, clearing any stale parity left by the §III
+    /// false-positive window.
     pub fn scrub(&mut self) {
-        let bps = self.geom.blocks_per_side();
-        for br in 0..bps {
-            for bc in 0..bps {
-                // A block holding a pinned cell is never re-based: the
-                // stored data there is not what the controller drove, and
-                // absorbing the wedged value would blind every later check
-                // to the hard fault.
-                if !self.covered[self.block_index(br, bc)] || self.block_has_stuck(br, bc) {
-                    continue;
-                }
-                self.reencode_block(br, bc);
-            }
+        for br in 0..self.geom.blocks_per_side() {
+            self.scrub_block_row(br);
         }
-        // Cost: every row is read and re-encoded once.
-        self.stats.mem_cycles += self.geom.n() as u64;
-        self.stats.transfer_cycles += self.geom.n() as u64;
     }
 
     /// Re-encodes one block row's check-bits from current data — the
     /// targeted scrub a device runs right after an uncorrectable verdict,
     /// so multi-bit transient residue cannot later masquerade as a single
     /// correctable error and be "corrected" into consistent garbage.
-    /// Blocks holding pinned cells are skipped, as in
-    /// [`ProtectedMemory::scrub`].
+    /// Blocks holding pinned cells are never re-based: the stored data
+    /// there is not what the controller drove, and absorbing the wedged
+    /// value would blind every later check to the hard fault.
     pub fn scrub_block_row(&mut self, block_row: usize) {
-        let bps = self.geom.blocks_per_side();
-        for bc in 0..bps {
-            if !self.covered[self.block_index(block_row, bc)] || self.block_has_stuck(block_row, bc)
-            {
-                continue;
+        if self.word_blocks() && self.fully_covered && !self.block_row_has_stuck(block_row) {
+            // The sweep rows are the block row's check rows.
+            self.sweep_block_row(block_row);
+            let (lead, q) = self.cmem.rows_mut(block_row..block_row + 1);
+            lead.copy_from_slice(&self.acc_lead);
+            q.copy_from_slice(&self.acc_q);
+        } else {
+            for bc in 0..self.geom.blocks_per_side() {
+                if self.covered[self.block_index(block_row, bc)]
+                    && !self.block_has_stuck(block_row, bc)
+                {
+                    self.reencode_block(block_row, bc);
+                }
             }
-            self.reencode_block(block_row, bc);
         }
         // Cost: the block row's m MEM rows are read and re-encoded once.
         self.stats.mem_cycles += self.geom.m() as u64;
@@ -3418,8 +2693,6 @@ enum FusedKind {
         colmask: Vec<u64>,
         /// Indices of the non-zero `colmask` words.
         widx: Vec<usize>,
-        /// Touched block-columns, ascending.
-        blkcols: Vec<usize>,
     },
     Cols {
         plan: FusedColsPlan,
@@ -3442,177 +2715,78 @@ impl FusedProgram {
 
 /// One worker's share of a fused row-parallel replay: snapshot the touched
 /// words of the chunk's rows, run the compiled sequence on the chunk's raw
-/// plane slices, then accumulate the net ECC deltas into `acc` — one
-/// `(leading, pre-reversal counter)` pair per (block-row, block-column) of
-/// the chunk. The counter family needs `rotl(rev(seg), (lr + 1) mod m)` per
-/// row; since bit-reversal is GF(2)-linear this equals
-/// `rev(rotl(seg, m - 1 - lr))`, so workers accumulate the cheap rotation
-/// and the caller reverses each accumulator once at flush time. Chunks are
-/// split at block-row boundaries, so the `acc` slices of distinct workers
-/// never alias and the flushed CMEM state is independent of the split.
+/// plane slices, then XOR each row's net change into the check rows of
+/// the chunk's block rows (`checks`: leading and counter rows of block
+/// rows `rows.start / m ..`). Chunks are split at block-row boundaries, so
+/// the check rows of distinct workers never alias.
 #[allow(clippy::too_many_arguments)]
 fn fused_rows_chunk(
     plan: &FusedRowsPlan,
+    shifter: &FieldShifter,
     bits: &mut [u64],
     armed: &mut [u64],
     old: &mut [u64],
-    acc: &mut [(u64, u64)],
+    checks: (&mut [u64], &mut [u64]),
     rows: std::ops::Range<usize>,
     colmask: &[u64],
     widx: &[usize],
-    blkcols: &[usize],
-    m: usize,
-    stride: usize,
 ) {
+    let (m, stride) = (shifter.geom.m(), shifter.stride);
     let per_row = widx.len();
     for li in 0..rows.len() {
         let row = &bits[li * stride..(li + 1) * stride];
-        let ob = li * per_row;
         for (k, &wi) in widx.iter().enumerate() {
-            old[ob + k] = row[wi];
+            old[li * per_row + k] = row[wi];
         }
     }
     plan.run_on_rows(bits, armed);
-    let mmask = (1u64 << m) - 1;
-    let nbcs = blkcols.len();
+    let (lead, q) = checks;
     let chunk_first_br = rows.start / m;
     let mut chg = [0u64; MAX_FUSED_STRIDE];
     for r in rows.clone() {
         let li = r - rows.start;
         let row = &bits[li * stride..(li + 1) * stride];
-        let ob = li * per_row;
         for (k, &wi) in widx.iter().enumerate() {
-            chg[wi] = (row[wi] ^ old[ob + k]) & colmask[wi];
+            chg[wi] = (row[wi] ^ old[li * per_row + k]) & colmask[wi];
         }
-        let (br, lr) = (r / m, r % m);
-        let abase = (br - chunk_first_br) * nbcs;
-        let rot_q = m - 1 - lr;
-        for (j, &bc) in blkcols.iter().enumerate() {
-            let start = bc * m;
-            let (w0, sh) = (start / 64, start % 64);
-            let mut seg = chg[w0] >> sh;
-            if sh + m > 64 && w0 + 1 < stride {
-                seg |= chg[w0 + 1] << (64 - sh);
-            }
-            seg &= mmask;
-            if seg != 0 {
-                let a = &mut acc[abase + j];
-                a.0 ^= rotl_m(seg, lr, m, mmask);
-                a.1 ^= rotl_m(seg, rot_q, m, mmask);
-            }
-        }
+        let at = (r / m - chunk_first_br) * stride..(r / m - chunk_first_br + 1) * stride;
+        shifter.rotate_into(&mut lead[at.clone()], &mut q[at], r % m, |wi| chg[wi]);
     }
 }
 
-/// Rotate-left within the low `m` bits (`mask = (1 << m) - 1`).
+/// Rotate-left within the low `m` bits.
 #[inline]
-fn rotl_m(w: u64, s: usize, m: usize, mask: u64) -> u64 {
+fn rotl_m(w: u64, s: usize, m: usize) -> u64 {
     if s == 0 {
         w
     } else {
-        ((w << s) | (w >> (m - s))) & mask
+        ((w << s) | (w >> (m - s))) & ((1u64 << m) - 1)
     }
 }
 
-/// Reverses the low `m` bits.
+/// Word `w` of a packed row rotated left by `rot` inside every m-bit
+/// field (`rot < m <= 63`), given words `w - 1`, `w` and `w + 1` of the
+/// row and word `w` of the field masks: a whole-row shift left by `rot`
+/// places the bits that stay inside their field (`hi`), a whole-row shift
+/// right by `m - rot` the bits that wrap round (`lo`).
 #[inline]
-fn rev_m(w: u64, m: usize) -> u64 {
-    w.reverse_bits() >> (64 - m)
+fn field_rotl(prev: u64, cur: u64, next: u64, rot: usize, m: usize, hi: u64, lo: u64) -> u64 {
+    let up = cur << rot | (prev >> 1) >> (63 - rot);
+    let sh = m - rot;
+    let down = cur >> sh | next << (64 - sh);
+    (up & hi) | (down & lo)
 }
 
-/// XORs the check-bit deltas of one *row's* changed cells into the CMEM:
-/// `changed_at(wi)` yields the masked change word (packed by global column)
-/// at word index `wi`, and every touched block gets one rotated XOR per
-/// family — row `r`'s cells map to leading diagonals by a rotation of `lr`
-/// and to counter diagonals by a reversal plus rotation, exactly the
-/// per-row contribution of [`DiagonalCode::encode_words`]. Requires
-/// `m <= 63`.
-#[inline]
-fn xor_row_major_changes(
-    cmem: &mut CheckMemory,
-    r: usize,
-    blkcols: &[usize],
-    m: usize,
-    stride: usize,
-    mut changed_at: impl FnMut(usize) -> u64,
-) {
-    let mmask = (1u64 << m) - 1;
-    let (lr, br) = (r % m, r / m);
-    let rot_counter = (lr + 1) % m;
-    let mut w0 = usize::MAX;
-    let mut cur = 0u64;
-    let mut next = 0u64;
-    for &bc in blkcols {
-        let start = bc * m;
-        let (w, sh) = (start / 64, start % 64);
-        if w != w0 {
-            w0 = w;
-            cur = changed_at(w);
-            next = if w + 1 < stride { changed_at(w + 1) } else { 0 };
+/// The first set bit at or after bit `from` of a packed word slice.
+fn next_set_bit(words: &[u64], from: usize) -> Option<usize> {
+    let mut wi = from / 64;
+    let mut w = *words.get(wi)? & u64::MAX << (from % 64);
+    loop {
+        if w != 0 {
+            return Some(wi * 64 + w.trailing_zeros() as usize);
         }
-        if cur == 0 && (sh + m <= 64 || next == 0) {
-            continue;
-        }
-        let mut seg = cur >> sh;
-        if sh + m > 64 {
-            seg |= next << (64 - sh);
-        }
-        seg &= mmask;
-        if seg == 0 {
-            continue;
-        }
-        let lead = rotl_m(seg, lr, m, mmask);
-        let counter = rotl_m(rev_m(seg, m), rot_counter, m, mmask);
-        cmem.xor_block_words(br, bc, lead, counter);
-    }
-}
-
-/// Transpose of [`xor_row_major_changes`]: the changed cells of one
-/// *column*, packed one bit per row in `changed_at`. Each block-row's
-/// segment maps to leading diagonals by a rotation of the column's local
-/// index and to counter diagonals by the opposite rotation (no reversal —
-/// the segment is already indexed by local row). Requires `m <= 63`.
-///
-/// The sweep walks the change words and skips all-zero ones outright, so
-/// sparse updates cost O(words), not O(blocks).
-#[inline]
-fn xor_col_major_changes(
-    cmem: &mut CheckMemory,
-    col: usize,
-    bps: usize,
-    m: usize,
-    stride: usize,
-    mut changed_at: impl FnMut(usize) -> u64,
-) {
-    let mmask = (1u64 << m) - 1;
-    let (lc, bc) = (col % m, col / m);
-    let rot_lead = lc;
-    let rot_counter = (m - lc) % m;
-    let mut w0 = usize::MAX;
-    let mut cur = 0u64;
-    let mut next = 0u64;
-    for br in 0..bps {
-        let start = br * m;
-        let (w, sh) = (start / 64, start % 64);
-        if w != w0 {
-            w0 = w;
-            cur = changed_at(w);
-            next = if w + 1 < stride { changed_at(w + 1) } else { 0 };
-        }
-        if cur == 0 && (sh + m <= 64 || next == 0) {
-            continue;
-        }
-        let mut seg = cur >> sh;
-        if sh + m > 64 {
-            seg |= next << (64 - sh);
-        }
-        seg &= mmask;
-        if seg == 0 {
-            continue;
-        }
-        let lead = rotl_m(seg, rot_lead, m, mmask);
-        let counter = rotl_m(seg, rot_counter, m, mmask);
-        cmem.xor_block_words(br, bc, lead, counter);
+        wi += 1;
+        w = *words.get(wi)?;
     }
 }
 
@@ -4313,6 +3487,94 @@ mod tests {
         let report = pm.check_all().unwrap();
         assert_eq!((report.corrected, report.uncorrectable), (0, 0));
         assert!(pm.verify_consistency().is_ok());
+    }
+
+    #[test]
+    fn check_fields_straddling_a_word_boundary_work_end_to_end() {
+        // (65, 5): block column 12's check field is bits 60..=64 of its
+        // check row; (192, 3): block column 21's is bits 63..=65. Both
+        // span two words.
+        for (n, m, bc) in [(65usize, 5usize, 12usize), (192, 3, 21)] {
+            let br = 1;
+            let grid = random_grid(n, 41);
+            let check = |pm: &mut ProtectedMemory, by_cols: bool| {
+                if by_cols {
+                    pm.check_all_cols().unwrap()
+                } else {
+                    pm.check_block_row(br).unwrap()
+                }
+            };
+            for by_cols in [false, true] {
+                for family in [Family::Leading, Family::Counter] {
+                    for d in 0..m {
+                        let mut pm = machine(n, m);
+                        pm.load_grid(&grid);
+                        pm.inject_check_fault(family, d, br, bc);
+                        assert!(pm.verify_consistency().is_err(), "{n}/{m} {family:?} {d}");
+                        let report = check(&mut pm, by_cols);
+                        assert_eq!((report.corrected, report.uncorrectable), (1, 0));
+                        assert!(pm.verify_consistency().is_ok(), "{n}/{m} {family:?} {d}");
+                    }
+                }
+                for (r, c) in
+                    (br * m..(br + 1) * m).flat_map(|r| (bc * m..(bc + 1) * m).map(move |c| (r, c)))
+                {
+                    let mut pm = machine(n, m);
+                    pm.load_grid(&grid);
+                    pm.inject_fault(r, c);
+                    let report = check(&mut pm, by_cols);
+                    assert_eq!(
+                        (report.corrected, report.uncorrectable),
+                        (1, 0),
+                        "{n}/{m} ({r},{c})"
+                    );
+                    assert_eq!(pm.bit(r, c), grid.get(r, c), "{n}/{m} ({r},{c})");
+                }
+            }
+            // Loads and fused replays across the block keep its checks in
+            // step with its data.
+            let mut pm = machine(n, m);
+            pm.load_grid(&grid);
+            let (r0, c0) = (br * m, bc * m);
+            let mut loads = vec![Vec::new(); n];
+            loads[r0 + 1] = (c0..c0 + m).map(|c| (c, c % 2 == 0)).collect();
+            pm.write_rows_cells_batched(&[r0 + 1], &loads).unwrap();
+            loads[r0 + 1].clear();
+            loads[c0 + 2] = (r0..r0 + m).map(|r| (r, r % 3 == 0)).collect();
+            pm.write_cols_cells_batched(&[c0 + 2], &loads).unwrap();
+            assert!(pm.verify_consistency().is_ok(), "{n}/{m} loads");
+            let gates = |base: usize| {
+                vec![
+                    ParallelStep::Init(vec![base]),
+                    ParallelStep::Nor(vec![base + 1, base + 2], base),
+                    ParallelStep::Init(vec![base + m - 1]),
+                    ParallelStep::Nor(vec![base, base + 1], base + m - 1),
+                ]
+            };
+            let prog = pm.compile_fused_rows(&gates(c0)).expect("fusable rows");
+            pm.exec_fused_rows(&prog, r0..r0 + m, 1);
+            assert!(pm.verify_consistency().is_ok(), "{n}/{m} fused rows");
+            let prog = pm.compile_fused_cols(&gates(r0)).expect("fusable cols");
+            pm.exec_fused_cols(&prog, c0..c0 + m);
+            assert!(pm.verify_consistency().is_ok(), "{n}/{m} fused cols");
+        }
+    }
+
+    #[test]
+    fn batched_load_over_a_struck_cell_keeps_stale_parity() {
+        // The §III false-positive window through the batched loader: a
+        // flip lands on a line before its next load, the load computes its
+        // ECC delta from the faulty stored bit, and the stale parity then
+        // "corrects" the freshly loaded input back to the wrong value.
+        let mut pm = machine(15, 5);
+        pm.inject_fault(2, 3);
+        let mut loads = vec![Vec::new(); 15];
+        loads[2] = vec![(3, true)];
+        pm.write_rows_cells_batched(&[2], &loads).unwrap();
+        assert!(pm.bit(2, 3), "the load stored its input");
+        let report = pm.check_block_row(0).unwrap();
+        assert_eq!((report.corrected, report.uncorrectable), (1, 0));
+        assert!(!pm.bit(2, 3), "the check undid the load");
     }
 
     fn stuck_scenario(n: usize, m: usize, engine: SimEngine) -> (ProtectedMemory, CheckReport) {

@@ -3,6 +3,9 @@
 //! check-bits, same [`MachineStats`], same [`CheckReport`]s — across both
 //! axes, geometries whose `n` is *not* a multiple of 64 (the slack-bit
 //! edge), and mixed op sequences ending in `verify_consistency`.
+//!
+//! The case count defaults to 24 per property; `PIMECC_DIFF_CASES`
+//! raises it (CI's chaos job runs 256).
 
 use pimecc_core::shifter::Family;
 use pimecc_core::{BlockGeometry, CheckReport, MachineStats, ProtectedMemory, SimEngine};
@@ -87,6 +90,14 @@ enum Op {
     CheckCol {
         bl: usize,
     },
+    /// One of the four batched loaders: `cols` picks the axis, `words` the
+    /// word-plane form, whose planes are built from the same cells.
+    Batched {
+        cols: bool,
+        words: bool,
+        loads: Vec<(usize, Vec<(usize, bool)>)>,
+    },
+    CheckAllCols,
     Scrub,
 }
 
@@ -132,6 +143,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         idx().prop_map(|bl| Op::CheckRow { bl }),
         idx().prop_map(|bl| Op::CheckCol { bl }),
+        (
+            any::<bool>(),
+            any::<bool>(),
+            proptest::collection::vec(
+                (
+                    idx(),
+                    proptest::collection::vec((idx(), any::<bool>()), 0..6)
+                ),
+                1..5
+            )
+        )
+            .prop_map(|(cols, words, loads)| Op::Batched { cols, words, loads }),
+        Just(Op::CheckAllCols),
         Just(Op::Scrub),
     ]
 }
@@ -230,13 +254,71 @@ fn apply(pm: &mut ProtectedMemory, op: &Op) -> (CheckReport, bool) {
         ),
         Op::CheckRow { bl } => report += pm.check_block_row(bl % bps).unwrap(),
         Op::CheckCol { bl } => report += pm.check_block_col(bl % bps).unwrap(),
+        Op::Batched { cols, words, loads } => batched_load(pm, *cols, *words, loads),
+        Op::CheckAllCols => report += pm.check_all_cols().unwrap(),
         Op::Scrub => pm.scrub(),
     }
     (report, pm.verify_consistency().is_ok())
 }
 
+/// Runs one batched load through the requested writer. The word-plane
+/// forms need the fused word path; machines off it (the scalar engine,
+/// partial coverage, pre-write checking) take the cells form, which then
+/// falls back to the per-line writers — the reference the batched sweeps
+/// must match.
+fn batched_load(
+    pm: &mut ProtectedMemory,
+    cols: bool,
+    words: bool,
+    loads: &[(usize, Vec<(usize, bool)>)],
+) {
+    let n = pm.geometry().n();
+    let stride = n.div_ceil(64);
+    let lines: Vec<usize> = loads.iter().map(|&(line, _)| line % n).collect();
+    let mut per_line = vec![Vec::new(); n];
+    for (&line, (_, cells)) in lines.iter().zip(loads) {
+        per_line[line] = cells.iter().map(|&(x, v)| (x % n, v)).collect();
+    }
+    if words && pm.supports_fused_rows() {
+        // Line-major planes (word `x / 64` of line `line`), last value wins
+        // like the cells form.
+        let mut masks = vec![0u64; n * stride];
+        let mut vals = vec![0u64; n * stride];
+        for &line in &lines {
+            for &(x, v) in &per_line[line] {
+                let (w, bit) = (line * stride + x / 64, 1u64 << (x % 64));
+                masks[w] |= bit;
+                vals[w] = if v { vals[w] | bit } else { vals[w] & !bit };
+            }
+        }
+        if cols {
+            pm.write_cols_words_batched(&lines, &mut masks, &mut vals)
+        } else {
+            pm.write_rows_words_batched(&lines, &mut masks, &mut vals)
+        }
+        .unwrap();
+        assert!(
+            masks.iter().chain(&vals).all(|&w| w == 0),
+            "planes restored"
+        );
+    } else if cols {
+        pm.write_cols_cells_batched(&lines, &per_line).unwrap();
+    } else {
+        pm.write_rows_cells_batched(&lines, &per_line).unwrap();
+    }
+}
+
+/// How many cases each property runs; CI raises it via
+/// `PIMECC_DIFF_CASES` (see `.github/workflows`).
+fn diff_cases() -> u32 {
+    std::env::var("PIMECC_DIFF_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(diff_cases()))]
 
     // The tentpole invariant: arbitrary legal op sequences leave both
     // engines with identical data, identical check-bits (probed through
@@ -270,6 +352,34 @@ proptest! {
         let wfinal = word.check_all().unwrap();
         let sfinal = scalar.check_all().unwrap();
         prop_assert_eq!(wfinal, sfinal);
+        prop_assert_eq!(word.verify_consistency(), scalar.verify_consistency());
+    }
+
+    // The same invariant on fully covered machines, where the word engine
+    // takes its fast paths — the batched loaders, the fused-word-path
+    // block-row sweeps of `check_all_cols` — while the scalar engine walks
+    // line by line and block by block.
+    #[test]
+    fn engines_are_bit_identical_when_fully_covered(
+        geom_idx in 0usize..GEOMETRIES.len(),
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(op_strategy(), 1..16),
+    ) {
+        let (n, m) = GEOMETRIES[geom_idx];
+        let grid = random_grid(n, seed);
+        let mut word = machine(n, m, SimEngine::WordParallel);
+        let mut scalar = machine(n, m, SimEngine::ScalarReference);
+        word.load_grid(&grid);
+        scalar.load_grid(&grid);
+        for (i, op) in ops.iter().enumerate() {
+            let (wr, wc) = apply(&mut word, op);
+            let (sr, sc) = apply(&mut scalar, op);
+            prop_assert_eq!(wr, sr, "op {} report", i);
+            prop_assert_eq!(wc, sc, "op {} consistency", i);
+        }
+        prop_assert_eq!(word.mem().grid().diff(scalar.mem().grid()), vec![]);
+        prop_assert_eq!(word.stats(), scalar.stats());
+        prop_assert_eq!(word.check_all_cols().unwrap(), scalar.check_all_cols().unwrap());
         prop_assert_eq!(word.verify_consistency(), scalar.verify_consistency());
     }
 

@@ -628,7 +628,14 @@ fn dispatch_wave(
                 }
                 // A first-attempt result keeps its one latency sample
                 // inline; only a retried ticket's history lives on the heap.
-                let (attempts, attempt_latencies) = match retry.remove(&ticket.id()) {
+                // A fault-free run never suppresses a ticket, so an empty
+                // map skips the per-ticket hash lookup.
+                let prior = if retry.is_empty() {
+                    None
+                } else {
+                    retry.remove(&ticket.id())
+                };
+                let (attempts, attempt_latencies) = match prior {
                     Some(mut state) => {
                         state.latencies.push(execute_latency);
                         (state.attempts + 1, AttemptLatencies::from(state.latencies))
